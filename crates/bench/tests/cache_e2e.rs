@@ -416,11 +416,13 @@ fn cache_cli_stats_verify_gc_lifecycle() {
 
 /// Paper-scale identity and reuse: one config across all five apps at
 /// 256 ranks (the scale where trace generation and the detailed window
-/// dominate). The warm run must land the identical bytes and be
-/// wall-clock faster than the cold fill; the measured ratio is printed
-/// for the experiment log.
+/// dominate). The warm run must land the identical bytes and simulate
+/// no detail window the cold fill already saved — the deterministic
+/// claim behind "warm is faster" (its wall-clock saving is only the
+/// detail windows, too small to assert against run-to-run noise); the
+/// measured ratio is printed for the experiment log.
 #[test]
-fn full_scale_warm_run_is_byte_identical_and_faster() {
+fn full_scale_warm_run_is_byte_identical_and_reuses_every_detail_window() {
     let seq = tmp_dir("full-ref");
     let out = dse_command(&seq, &["--full", "--no-cache"], 1, false)
         .output()
@@ -463,9 +465,19 @@ fn full_scale_warm_run_is_byte_identical_and_faster() {
         "paper-scale cold {cold:?} vs warm {warm:?} ({:.1}x)",
         cold.as_secs_f64() / warm.as_secs_f64().max(1e-9)
     );
+    let sessions = load_sessions(&artifact_dir(&dir));
+    let warm_session = sessions
+        .iter()
+        .rev()
+        .find(|s| s.label == "sequential")
+        .expect("the warm run persisted its session line");
+    assert_eq!(
+        warm_session.detail_misses, 0,
+        "warm paper-scale run re-simulated detail windows: {warm_session:?}"
+    );
     assert!(
-        warm < cold,
-        "warm paper-scale run must beat the cold fill (cold {cold:?}, warm {warm:?})"
+        warm_session.detail_hits > 0,
+        "warm paper-scale run must reuse detail windows: {warm_session:?}"
     );
 
     let _ = std::fs::remove_dir_all(&seq);

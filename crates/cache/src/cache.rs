@@ -33,9 +33,10 @@ use musa_trace::AppTrace;
 
 use crate::artifact::{
     artifact_file_name, quarantine, read_artifact, write_artifact, ArtifactKind, ArtifactRead,
-    BurstArtifact, DetailArtifact,
+    BurstArtifact, DetailArtifact, CACHE_WRITE_FAILPOINT,
 };
 use crate::fp::{trace_key, ArtifactKey};
+use crate::integrity::{open_repairing, scan, OnCorrupt};
 
 /// Name of the artifact directory under the campaign store directory.
 pub const ARTIFACT_DIR: &str = "artifacts";
@@ -341,20 +342,27 @@ impl ArtifactCache {
     /// Append this process's tallies (labelled with the pipeline that
     /// ran) to [`SESSIONS_FILE`] in the artifact directory, so hits
     /// from every process sharing the directory stay attributable
-    /// after the fact. A single `O_APPEND` write of one line; losing it
-    /// loses bookkeeping, never results.
+    /// after the fact. The ledger is a line log: the open repairs a
+    /// crash-damaged tail (quarantining corrupt lines to the store's
+    /// ledger) so the append cannot join onto an earlier line, then a
+    /// single `O_APPEND` write lands the line. Losing it loses
+    /// bookkeeping, never results.
     pub fn persist_session(&self, label: &str) {
         self.flush();
         let mut stats = self.stats();
         stats.label = label.to_string();
-        let mut line = stats.to_json();
-        line.push('\n');
         let path = self.dir.join(SESSIONS_FILE);
-        let appended = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&path)
-            .and_then(|mut f| io::Write::write_all(&mut f, line.as_bytes()));
+        let store_dir = self.dir.parent().unwrap_or(&self.dir);
+        let appended = open_repairing(
+            &path,
+            classify_session,
+            OnCorrupt::Quarantine(store_dir),
+            CACHE_WRITE_FAILPOINT,
+        )
+        .and_then(|(_, mut log)| {
+            log.append(&stats.to_json());
+            log.flush()
+        });
         if let Err(e) = appended {
             musa_obs::warn(
                 "musa-cache",
@@ -469,13 +477,16 @@ fn write_detail(dir: &Path, counters: &Counters, key: ArtifactKey, payload: &[u8
     }
 }
 
+pub(crate) fn classify_session(_line_no: usize, line: &str) -> Result<SessionStats, String> {
+    from_str(line).map_err(|e| format!("unparsable session line: {e}"))
+}
+
 /// Read every session line under `dir` (the artifact directory).
-/// Unparseable lines (torn tail after a crash) are skipped, not fatal.
+/// Unparseable lines (a torn tail, corruption) are skipped, not fatal.
 pub fn load_sessions(dir: &Path) -> Vec<SessionStats> {
-    let Ok(text) = std::fs::read_to_string(dir.join(SESSIONS_FILE)) else {
-        return Vec::new();
-    };
-    text.lines().filter_map(|l| from_str(l).ok()).collect()
+    scan(&dir.join(SESSIONS_FILE), classify_session)
+        .unwrap_or_default()
+        .values()
 }
 
 #[cfg(test)]
@@ -617,6 +628,27 @@ mod tests {
         }
         assert_eq!(total.burst_hits, 2);
 
+        let _ = std::fs::remove_dir_all(&store);
+    }
+
+    /// A session line missing only its newline (a crash between the
+    /// line and its `\n`) must not swallow the next process's line.
+    #[test]
+    fn session_after_an_unterminated_line_reads_back() {
+        let store = tmp_store("sessions-nl");
+        let cache = ArtifactCache::open(&store).unwrap();
+        let earlier = SessionStats {
+            label: "pool-worker".into(),
+            detail_hits: 4,
+            ..SessionStats::default()
+        };
+        std::fs::write(cache.dir().join(SESSIONS_FILE), earlier.to_json()).unwrap();
+        cache.persist_session("sequential");
+
+        let sessions = load_sessions(cache.dir());
+        assert_eq!(sessions.len(), 2, "{sessions:?}");
+        assert_eq!(sessions[0], earlier);
+        assert_eq!(sessions[1].label, "sequential");
         let _ = std::fs::remove_dir_all(&store);
     }
 

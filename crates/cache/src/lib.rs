@@ -73,4 +73,8 @@ pub use cache::{
     SESSIONS_FILE,
 };
 pub use fp::{burst_key, detail_key, fnv1a_64, trace_key, ArtifactKey, CACHE_SCHEMA_VERSION};
-pub use integrity::{atomic_write, crc32};
+pub use integrity::{
+    atomic_write, crc32, is_quarantine_file, open_repairing, quarantine_evidence,
+    quarantine_rotation, repair, rewrite, scan, seal, unseal, Line, LineLog, OnCorrupt,
+    QuarantineRecord, Scan, Tail, QUARANTINE_FILE, QUARANTINE_KEEP, QUARANTINE_ROTATE_BYTES,
+};

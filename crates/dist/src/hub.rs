@@ -27,12 +27,12 @@
 //! local watchdog's semantics.
 
 use std::collections::VecDeque;
-use std::fs;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant, SystemTime};
 
+use musa_cache::LineLog;
 use musa_obs::json::JsonObj;
 use musa_pool::{RemoteEvent, RemoteHub, RemoteLease};
 use musa_store::PoisonedPoint;
@@ -84,7 +84,7 @@ struct LeaseState {
     rows: u64,
     poisoned: Vec<PoisonedPoint>,
     current: Option<u64>,
-    file: Option<fs::File>,
+    file: Option<LineLog>,
 }
 
 struct Conn {
@@ -395,23 +395,18 @@ impl DistHub {
                     return None;
                 }
                 if !frame.body.is_empty() {
-                    // Append the shipped bytes verbatim and push them to
+                    // Append the shipped row lines and push them to
                     // the device before acknowledging progress: `done`
                     // must never run ahead of durable rows (the same
                     // journal-before-reality stance as the local pool).
                     let path = store_dir.join(format!("dist-l{:04}-a{}.jsonl", ls.id, ls.attempt));
                     let res = (|| -> std::io::Result<()> {
                         if ls.file.is_none() {
-                            ls.file = Some(
-                                fs::OpenOptions::new()
-                                    .create(true)
-                                    .append(true)
-                                    .open(&path)?,
-                            );
+                            ls.file = Some(LineLog::open(&path)?);
                         }
                         let f = ls.file.as_mut().expect("file opened above");
-                        f.write_all(&frame.body)?;
-                        f.sync_data()
+                        let body = String::from_utf8_lossy(&frame.body);
+                        f.append_synced(body.strip_suffix('\n').unwrap_or(&body))
                     })();
                     if let Err(e) = res {
                         // Local disk trouble is *our* fault, not the

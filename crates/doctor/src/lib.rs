@@ -20,13 +20,21 @@
 //! | `degraded` | crash residue worth repairing (torn tails, litter) | 1 |
 //! | `corrupt` | damaged bytes: rows, journal lines, artifacts | 2 |
 //!
-//! [`repair`] applies the subsystems' own atomic repair paths
-//! (tmp + fsync + rename throughout) and is:
+//! Rows are audited and repaired through the store's own open. The
+//! other line-log families — the lease journal, the search journal
+//! and the profile records — are rows of one table (`LINE_FAMILIES`):
+//! a path or glob, the owner's line classifier, a grade per finding
+//! and an interior-corruption policy, walked by one audit loop and one
+//! repair loop over the shared scan / repair / quarantine path in
+//! [`musa_cache::integrity`].
+//!
+//! [`repair`] applies those atomic repair paths (tmp + fsync + rename
+//! throughout) and is:
 //!
 //! * **idempotent** — `repair(repair(x))` changes no further bytes
 //!   (property-tested in `tests/repair_props.rs`);
 //! * **never destructive** — every removed byte lands in quarantine
-//!   with provenance: corrupt rows and journal lines are appended to
+//!   with provenance: corrupt rows and line-log lines are appended to
 //!   `quarantine.jsonl` via [`musa_store::quarantine_evidence`], corrupt
 //!   artifacts and temp litter move to the artifact `quarantine/`
 //!   directory with a `.reason` note, and a corrupt search journal is
@@ -42,8 +50,8 @@ pub mod torture;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use musa_cache::VerifyVerdict;
-use musa_obs::json::{escape, JsonObj, JsonValue};
+use musa_cache::{Line, OnCorrupt, Tail, VerifyVerdict};
+use musa_obs::json::{escape, JsonObj};
 use musa_store::{QuarantineRecord, LEASE_JOURNAL_FILE, QUARANTINE_FILE, QUARANTINE_KEEP};
 
 /// Status beacon the CLI drops in the store directory after
@@ -109,6 +117,15 @@ impl FamilyReport {
         self.severity = self.severity.max(severity);
         self.notes.push(msg.into());
         self
+    }
+
+    /// Note each nonzero `(count, grade, what)` finding as "count what".
+    fn findings<const N: usize>(&mut self, findings: [(u64, Severity, &str); N]) {
+        for (n, severity, what) in findings {
+            if n > 0 {
+                self.note(severity, format!("{n} {what}"));
+            }
+        }
     }
 
     /// Value of a counter by name (0 when absent) — convenient in tests.
@@ -259,12 +276,15 @@ pub fn audit(dir: &Path) -> io::Result<DoctorReport> {
     }
     let lossy = dir.to_string_lossy();
     musa_fault::fail_io("doctor.scan", musa_fault::key_of(&[lossy.as_bytes()]))?;
+    let [leases, search, profiles] = LINE_FAMILIES
+        .each_ref()
+        .map(|fam| audit_line_family(dir, fam));
     let families = vec![
         audit_rows(dir)?,
-        audit_leases(dir),
-        audit_search(dir)?,
+        leases?,
+        search?,
         audit_artifacts(dir),
-        audit_profiles(dir)?,
+        profiles?,
         audit_scratch(dir),
         audit_quarantine(dir),
     ];
@@ -295,10 +315,10 @@ pub fn repair(dir: &Path) -> io::Result<DoctorReport> {
     musa_fault::fail_io("doctor.repair", musa_fault::key_of(&[lossy.as_bytes()]))?;
     let mut actions = Vec::new();
     repair_rows(dir, &mut actions)?;
-    repair_leases(dir, &mut actions)?;
-    repair_search(dir, &mut actions)?;
+    for fam in &LINE_FAMILIES {
+        repair_line_family(dir, fam, &mut actions)?;
+    }
     repair_artifacts(dir, &mut actions)?;
-    repair_profiles(dir, &mut actions)?;
     repair_scratch(dir, &mut actions);
     let mut report = audit(dir)?;
     report.repaired = true;
@@ -339,57 +359,35 @@ fn audit_rows(dir: &Path) -> io::Result<FamilyReport> {
         .count("stale_schema", health.rows_stale_schema)
         .count("newer_schema", health.rows_newer_schema)
         .count("pool_poisoned", health.pool_poisoned);
-    if health.quarantined > 0 {
-        fam.note(
+    let corrupt = format!("row(s) failed CRC or parse; repair moves them to {QUARANTINE_FILE}");
+    fam.findings([
+        (health.quarantined, Severity::Corrupt, corrupt.as_str()),
+        (
+            health.files_skipped,
             Severity::Corrupt,
-            format!(
-                "{} row(s) failed CRC or parse; repair moves them to {QUARANTINE_FILE}",
-                health.quarantined
-            ),
-        );
-    }
-    if health.files_skipped > 0 {
-        fam.note(
-            Severity::Corrupt,
-            format!("{} unreadable result file(s) skipped", health.files_skipped),
-        );
-    }
-    if health.tails_repaired > 0 {
-        fam.note(
+            "unreadable result file(s) skipped",
+        ),
+        (
+            health.tails_repaired,
             Severity::Degraded,
-            format!(
-                "{} torn final line(s) (interrupted append; repair truncates)",
-                health.tails_repaired
-            ),
-        );
-    }
-    if health.pool_poisoned > 0 {
-        fam.note(
+            "torn final line(s) (interrupted append; repair truncates)",
+        ),
+        (
+            health.pool_poisoned,
             Severity::Degraded,
-            format!(
-                "{} point(s) poisoned by the pool supervisor; a plain resume will not re-attempt them",
-                health.pool_poisoned
-            ),
-        );
-    }
-    if health.rows_stale_schema > 0 {
-        fam.note(
+            "point(s) poisoned by the pool supervisor; a plain resume will not re-attempt them",
+        ),
+        (
+            health.rows_stale_schema,
             Severity::Ok,
-            format!(
-                "{} stale-schema row(s) (skipped in memory; a resume re-simulates them)",
-                health.rows_stale_schema
-            ),
-        );
-    }
-    if health.rows_newer_schema > 0 {
-        fam.note(
+            "stale-schema row(s) (skipped in memory; a resume re-simulates them)",
+        ),
+        (
+            health.rows_newer_schema,
             Severity::Ok,
-            format!(
-                "{} newer-schema row(s) (owned by a newer writer; left alone)",
-                health.rows_newer_schema
-            ),
-        );
-    }
+            "newer-schema row(s) (owned by a newer writer; left alone)",
+        ),
+    ]);
     Ok(fam)
 }
 
@@ -415,275 +413,233 @@ fn repair_rows(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
     Ok(())
 }
 
-// -------------------------------------------------------------- leases
+// ----------------------------------------------------------- line logs
 
-fn audit_leases(dir: &Path) -> FamilyReport {
-    let mut fam = FamilyReport::new("leases");
-    let exists = dir.join(LEASE_JOURNAL_FILE).is_file();
-    let rep = musa_store::journal::replay(dir);
-    fam.count("events", rep.events.len() as u64)
-        .count("skipped_lines", rep.skipped)
-        .count("torn_tail", u64::from(rep.torn_tail))
-        .count("poisoned", rep.poisoned().len() as u64);
-    if rep.skipped > 0 {
-        fam.note(
-            Severity::Corrupt,
-            format!(
-                "{} unparsable interior journal line(s); repair quarantines them and rewrites the survivors",
-                rep.skipped
-            ),
-        );
-    }
-    if rep.torn_tail {
-        fam.note(
-            Severity::Degraded,
-            "torn final journal line (crash residue; repair truncates)",
-        );
-    }
-    if exists && !rep.clean_terminated && !rep.torn_tail {
-        fam.note(
-            Severity::Ok,
-            "journal not newline-terminated (interrupted run; the next pool open rewrites it)",
-        );
-    }
-    fam
+/// What repair does with a corrupt complete line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Interior {
+    /// Quarantine the line and rewrite the survivors.
+    Quarantine,
+    /// Preserve the whole file aside under a content-fingerprinted
+    /// name, with one provenance record naming it: the file's replay
+    /// cursor cannot trust anything after the damage. The string names
+    /// the file in the quarantine reason.
+    PreserveFile(&'static str),
 }
 
-fn repair_leases(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
-    let path = dir.join(LEASE_JOURNAL_FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    if text.is_empty() {
-        return Ok(());
+type Classifier = Box<dyn FnMut(usize, &str) -> Result<(), String>>;
+type Counters = Vec<(&'static str, u64)>;
+
+/// What the audit found across one family's files.
+#[derive(Debug, Default)]
+struct Tally {
+    /// Files beyond the family's primary file (staged shards).
+    extra_files: u64,
+    kept: u64,
+    corrupt: u64,
+    torn: u64,
+    unterminated: u64,
+    /// Where the first corrupt line sits, and why.
+    first_corrupt: Option<String>,
+}
+
+/// One line-log family: everything the audit and repair loops need.
+struct LineFamily {
+    /// Stable family name (part of the JSON report).
+    name: &'static str,
+    /// The family's files — the primary first — given the store dir.
+    files: fn(&Path) -> Vec<PathBuf>,
+    /// The owner's line classifier (the error is the quarantine reason).
+    classifier: fn() -> Classifier,
+    /// Grade of a corrupt complete line.
+    corrupt: Severity,
+    /// Grade of a torn tail (an unterminated clean line is always ok).
+    torn: Severity,
+    interior: Interior,
+    /// The family's counters (names are part of the JSON report).
+    counts: fn(&Path, &Tally) -> io::Result<Counters>,
+    /// Owner merge run after the per-file repairs, folding the extra
+    /// files into the primary; returns whether it changed anything.
+    merge: Option<fn(&Path) -> io::Result<bool>>,
+}
+
+/// The line-log families the doctor walks, in repair order. Rows keep
+/// their store-open path (they carry schema and health rules of their
+/// own); artifacts, scratch and the quarantine ledger are not line logs.
+const LINE_FAMILIES: [LineFamily; 3] = [
+    LineFamily {
+        name: "leases",
+        files: |dir| vec![dir.join(LEASE_JOURNAL_FILE)],
+        classifier: || Box::new(|n, line| musa_store::journal::classify_line(n, line).map(drop)),
+        corrupt: Severity::Corrupt,
+        torn: Severity::Degraded,
+        interior: Interior::Quarantine,
+        counts: |dir, t| {
+            let poisoned = musa_store::journal::replay(dir).poisoned().len() as u64;
+            Ok(vec![
+                ("events", t.kept),
+                ("skipped_lines", t.corrupt),
+                ("torn_tail", t.torn),
+                ("poisoned", poisoned),
+            ])
+        },
+        merge: None,
+    },
+    LineFamily {
+        name: "search",
+        files: |dir| {
+            vec![dir
+                .join(musa_search::SEARCH_DIR)
+                .join(musa_search::JOURNAL_FILE)]
+        },
+        classifier: || Box::new(musa_search::journal::line_classifier()),
+        corrupt: Severity::Corrupt,
+        torn: Severity::Degraded,
+        interior: Interior::PreserveFile("search journal"),
+        // A corrupt journal is moved aside on repair: no line of it
+        // is usable by a resume.
+        counts: |_, t| {
+            Ok(vec![(
+                "journal_lines",
+                if t.corrupt > 0 { 0 } else { t.kept },
+            )])
+        },
+        merge: None,
+    },
+    LineFamily {
+        name: "profiles",
+        files: musa_prof::profile_files,
+        classifier: || Box::new(|n, line| musa_prof::classify_line(n, line).map(drop)),
+        // Telemetry, not campaign data — degraded, not corrupt.
+        corrupt: Severity::Degraded,
+        torn: Severity::Degraded,
+        interior: Interior::Quarantine,
+        counts: |dir, _| {
+            let (_, rep) = musa_prof::load_profiles(dir)?;
+            Ok(vec![
+                ("records", rep.records as u64),
+                ("staged_files", rep.staged_files as u64),
+                ("duplicates", rep.duplicates as u64),
+                ("torn_tails", rep.torn_tails as u64),
+                ("corrupt", rep.corrupt as u64),
+            ])
+        },
+        merge: Some(|dir| Ok(musa_prof::harvest(dir)?.repaired_anything())),
+    },
+];
+
+fn relative(dir: &Path, path: &Path) -> String {
+    path.strip_prefix(dir).unwrap_or(path).display().to_string()
+}
+
+fn audit_line_family(dir: &Path, fam: &LineFamily) -> io::Result<FamilyReport> {
+    let mut t = Tally::default();
+    for (i, path) in (fam.files)(dir).iter().enumerate() {
+        let scan = musa_cache::scan(path, (fam.classifier)())?;
+        t.extra_files += u64::from(i > 0);
+        let corrupt = scan.corrupt().count() as u64;
+        t.kept += scan.lines.len() as u64 - corrupt;
+        t.corrupt += corrupt;
+        t.torn += u64::from(scan.tail == Tail::Torn);
+        t.unterminated += u64::from(scan.tail == Tail::Unterminated);
+        let first = scan.corrupt().next();
+        if let (None, Some((line, reason))) = (&t.first_corrupt, first) {
+            let file = relative(dir, path);
+            t.first_corrupt = Some(format!("{file} line {}: {reason}", line.no));
+        }
     }
-    // Quarantine the damaged lines BEFORE the journal's own open
-    // rewrites the file without them — repair must not lose bytes. The
-    // torn tail (unterminated final line) is normal crash residue and
-    // is truncated, not quarantined, matching every other journal.
-    let ends_nl = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    let last = lines.len().saturating_sub(1);
-    let mut quarantined = 0u64;
-    for (i, line) in lines.iter().enumerate() {
-        if i == last && !ends_nl {
+    let mut report = FamilyReport::new(fam.name);
+    for (name, value) in (fam.counts)(dir, &t)? {
+        report.count(name, value);
+    }
+    let policy = match fam.interior {
+        Interior::Quarantine => "repair quarantines them and rewrites the survivors",
+        Interior::PreserveFile(_) => "repair preserves the file and quarantines the evidence",
+    };
+    let first = t.first_corrupt.unwrap_or_default();
+    let corrupt = format!("corrupt line(s) (first: {first}); {policy}");
+    let unmerged = if fam.merge.is_some() {
+        t.extra_files
+    } else {
+        0
+    };
+    report.findings([
+        (t.corrupt, fam.corrupt, corrupt.as_str()),
+        (
+            t.torn,
+            fam.torn,
+            "torn final line(s) (crash residue; repair truncates)",
+        ),
+        (
+            t.unterminated,
+            Severity::Ok,
+            "unterminated final line(s) (kept; repair terminates)",
+        ),
+        (
+            unmerged,
+            Severity::Degraded,
+            "unmerged staged file(s); repair merges them",
+        ),
+    ]);
+    Ok(report)
+}
+
+fn repair_line_family(dir: &Path, fam: &LineFamily, actions: &mut Vec<String>) -> io::Result<()> {
+    for path in (fam.files)(dir) {
+        let scan = musa_cache::scan(&path, (fam.classifier)())?;
+        let file = relative(dir, &path);
+        let first = scan.corrupt().next();
+        if let (Interior::PreserveFile(what), Some((line, reason))) = (fam.interior, first) {
+            let preserved = preserve_file(dir, &path, line, &format!("{what} corrupt ({reason})"))?;
+            actions.push(format!(
+                "{}: preserved corrupt {file} as {preserved} and quarantined the evidence",
+                fam.name
+            ));
             continue;
         }
-        if let Err(reason) = musa_store::LeaseEvent::parse(line) {
-            let appended = musa_store::quarantine_evidence(
-                dir,
-                &QuarantineRecord {
-                    file: LEASE_JOURNAL_FILE.to_string(),
-                    line: i + 1,
-                    reason: format!("lease journal line failed to parse: {reason}"),
-                    raw: (*line).to_string(),
-                },
-            )?;
-            if appended {
-                quarantined += 1;
-            }
+        musa_cache::repair(&path, &scan, OnCorrupt::Quarantine(dir), "doctor.repair")?;
+        if scan.tail != Tail::Clean || first.is_some() {
+            let quarantined = scan.corrupt().count();
+            actions.push(format!(
+                "{}: rewrote {file} ({quarantined} corrupt line(s) to quarantine, tail {:?})",
+                fam.name, scan.tail
+            ));
         }
     }
-    let rep = musa_store::journal::replay(dir);
-    if rep.skipped > 0 || rep.torn_tail || !rep.clean_terminated {
-        // The journal's own appendable open rewrites the surviving
-        // events atomically.
-        let _ = musa_store::LeaseJournal::open(dir)?;
-        actions.push(format!(
-            "leases: rewrote journal ({} event(s) kept, {} line(s) quarantined, torn tail: {})",
-            rep.events.len(),
-            quarantined,
-            rep.torn_tail
-        ));
+    if let Some(merge) = fam.merge {
+        if merge(dir)? {
+            actions.push(format!("{}: merged staged files", fam.name));
+        }
     }
     Ok(())
 }
 
-// -------------------------------------------------------------- search
-
-enum SearchScan {
-    Absent,
-    Newer {
-        lines: u64,
-    },
-    Clean {
-        lines: u64,
-    },
-    Torn {
-        complete: u64,
-        prefix: usize,
-    },
-    Corrupt {
-        line_no: usize,
-        reason: String,
-        raw: String,
-    },
-}
-
-fn search_journal_path(dir: &Path) -> PathBuf {
-    dir.join(musa_search::SEARCH_DIR)
-        .join(musa_search::JOURNAL_FILE)
-}
-
-fn scan_search_journal(path: &Path) -> io::Result<SearchScan> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(SearchScan::Absent),
-        Err(e) => return Err(e),
-    };
-    if text.is_empty() {
-        return Ok(SearchScan::Clean { lines: 0 });
-    }
-    let ends_nl = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    if let Some(first) = lines.first() {
-        if let Ok(v) = JsonValue::parse(first) {
-            let newer = v
-                .get("v")
-                .and_then(JsonValue::as_u64)
-                .is_some_and(|s| s > musa_search::JOURNAL_SCHEMA);
-            if newer {
-                return Ok(SearchScan::Newer {
-                    lines: lines.len() as u64,
-                });
-            }
-        }
-    }
-    let last = lines.len() - 1;
-    let mut prefix = 0usize;
-    for (i, line) in lines.iter().enumerate() {
-        if i == last && !ends_nl {
-            // An unterminated final line is torn residue whether or not
-            // it parses — `SearchJournal::open` truncates it identically
-            // (a resumed search re-records the step).
-            return Ok(SearchScan::Torn {
-                complete: i as u64,
-                prefix,
-            });
-        }
-        if let Err(reason) = validate_search_line(line, i == 0) {
-            return Ok(SearchScan::Corrupt {
-                line_no: i + 1,
-                reason,
-                raw: (*line).to_string(),
-            });
-        }
-        prefix += line.len() + 1;
-    }
-    Ok(SearchScan::Clean {
-        lines: lines.len() as u64,
-    })
-}
-
-fn validate_search_line(line: &str, first: bool) -> Result<(), String> {
-    let v = JsonValue::parse(line).map_err(|e| format!("unparsable JSON ({e})"))?;
-    let ver = v
-        .get("v")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| "missing \"v\" schema field".to_string())?;
-    if ver != musa_search::JOURNAL_SCHEMA {
-        return Err(format!("foreign schema v{ver}"));
-    }
-    let kind = v
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| "missing \"kind\" field".to_string())?;
-    match (first, kind) {
-        (true, "header") => Ok(()),
-        (true, other) => Err(format!("first line is {other:?}, expected the header")),
-        (false, "header") => Err("duplicate header past line 1".to_string()),
-        (false, "gen" | "done") => Ok(()),
-        (false, other) => Err(format!("unknown record kind {other:?}")),
-    }
-}
-
-fn audit_search(dir: &Path) -> io::Result<FamilyReport> {
-    let mut fam = FamilyReport::new("search");
-    match scan_search_journal(&search_journal_path(dir))? {
-        SearchScan::Absent => {
-            fam.count("journal_lines", 0);
-        }
-        SearchScan::Newer { lines } => {
-            fam.count("journal_lines", lines).note(
-                Severity::Ok,
-                "journal written by a newer schema; left alone",
-            );
-        }
-        SearchScan::Clean { lines } => {
-            fam.count("journal_lines", lines);
-        }
-        SearchScan::Torn { complete, .. } => {
-            fam.count("journal_lines", complete).note(
-                Severity::Degraded,
-                "torn final journal line (crash residue; repair truncates, a resumed search re-records it)",
-            );
-        }
-        SearchScan::Corrupt {
-            line_no, reason, ..
-        } => {
-            fam.count("journal_lines", 0).note(
-                Severity::Corrupt,
-                format!(
-                    "journal line {line_no} corrupt ({reason}); repair preserves the file and quarantines the evidence"
-                ),
-            );
-        }
-    }
-    Ok(fam)
-}
-
-fn repair_search(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
-    let path = search_journal_path(dir);
-    match scan_search_journal(&path)? {
-        SearchScan::Absent | SearchScan::Newer { .. } | SearchScan::Clean { .. } => Ok(()),
-        SearchScan::Torn { complete, prefix } => {
-            let text = std::fs::read_to_string(&path)?;
-            musa_store::atomic_write(&path, &text.as_bytes()[..prefix], "doctor.repair")?;
-            actions.push(format!(
-                "search: truncated torn journal tail ({complete} complete line(s) kept)"
-            ));
-            Ok(())
-        }
-        SearchScan::Corrupt {
-            line_no,
-            reason,
-            raw,
-        } => {
-            // Interior corruption means the replay cursor cannot trust
-            // anything after the damage. Preserve the whole file under a
-            // content-fingerprinted name (never delete evidence), leave a
-            // provenance record, and let the next search start fresh —
-            // its evaluated rows are still in the store, so re-searching
-            // only replays cached points.
-            let bytes = std::fs::read(&path)?;
-            let preserved = format!(
-                "{}.quarantined-{:016x}",
-                musa_search::JOURNAL_FILE,
-                musa_store::fnv1a_64(&bytes)
-            );
-            let dest = path.with_file_name(&preserved);
-            std::fs::rename(&path, &dest)?;
-            musa_store::quarantine_evidence(
-                dir,
-                &QuarantineRecord {
-                    file: format!("{}/{}", musa_search::SEARCH_DIR, musa_search::JOURNAL_FILE),
-                    line: line_no,
-                    reason: format!(
-                        "search journal corrupt ({reason}); full file preserved as {}/{preserved}",
-                        musa_search::SEARCH_DIR
-                    ),
-                    raw,
-                },
-            )?;
-            actions.push(format!(
-                "search: preserved corrupt journal as {}/{preserved} and quarantined the evidence",
-                musa_search::SEARCH_DIR
-            ));
-            Ok(())
-        }
-    }
+/// Move a file with interior corruption aside under a
+/// content-fingerprinted name (never delete evidence) and leave one
+/// provenance record naming it; the owner starts fresh. Returns the
+/// preserved file, relative to `dir`.
+fn preserve_file(dir: &Path, path: &Path, line: &Line<()>, why: &str) -> io::Result<String> {
+    let bytes = std::fs::read(path)?;
+    let name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default();
+    let dest = path.with_file_name(format!(
+        "{name}.quarantined-{:016x}",
+        musa_store::fnv1a_64(&bytes)
+    ));
+    std::fs::rename(path, &dest)?;
+    let preserved = relative(dir, &dest);
+    musa_store::quarantine_evidence(
+        dir,
+        &[QuarantineRecord {
+            file: relative(dir, path),
+            line: line.no,
+            reason: format!("{why}; full file preserved as {preserved}"),
+            raw: line.raw.clone(),
+        }],
+    )?;
+    Ok(preserved)
 }
 
 // ----------------------------------------------------------- artifacts
@@ -787,116 +743,6 @@ fn repair_artifacts(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
     Ok(())
 }
 
-// ------------------------------------------------------------ profiles
-
-fn audit_profiles(dir: &Path) -> io::Result<FamilyReport> {
-    let mut fam = FamilyReport::new("profiles");
-    let (_, rep) = musa_prof::load_profiles(dir)?;
-    fam.count("records", rep.records as u64)
-        .count("staged_files", rep.staged_files as u64)
-        .count("duplicates", rep.duplicates as u64)
-        .count("torn_tails", rep.torn_tails as u64)
-        .count("corrupt", rep.corrupt as u64);
-    if rep.corrupt > 0 {
-        // Telemetry, not campaign data — degraded, not corrupt.
-        fam.note(
-            Severity::Degraded,
-            format!(
-                "{} profile line(s) failed checksum or parse; repair quarantines them before harvesting",
-                rep.corrupt
-            ),
-        );
-    }
-    if rep.torn_tails > 0 {
-        fam.note(
-            Severity::Degraded,
-            format!(
-                "{} torn profile tail(s) (crash residue; harvest drops them)",
-                rep.torn_tails
-            ),
-        );
-    }
-    if rep.staged_files > 0 {
-        fam.note(
-            Severity::Degraded,
-            format!(
-                "{} unharvested worker staging file(s); repair merges them into {}",
-                rep.staged_files,
-                musa_prof::PROFILES_FILE
-            ),
-        );
-    }
-    Ok(fam)
-}
-
-fn quarantine_bad_profile_lines(dir: &Path, rel: &str, path: &Path) -> io::Result<u64> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    };
-    if text.is_empty() {
-        return Ok(0);
-    }
-    let ends_nl = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    let last = lines.len() - 1;
-    let mut quarantined = 0u64;
-    for (i, line) in lines.iter().enumerate() {
-        if i == last && !ends_nl {
-            continue; // torn tail: crash residue, dropped by harvest
-        }
-        if musa_prof::PointProfile::parse(line).is_none() {
-            let appended = musa_store::quarantine_evidence(
-                dir,
-                &QuarantineRecord {
-                    file: rel.to_string(),
-                    line: i + 1,
-                    reason: "profile record failed checksum or parse".to_string(),
-                    raw: (*line).to_string(),
-                },
-            )?;
-            if appended {
-                quarantined += 1;
-            }
-        }
-    }
-    Ok(quarantined)
-}
-
-fn repair_profiles(dir: &Path, actions: &mut Vec<String>) -> io::Result<()> {
-    // `harvest` rewrites the recorder file without its corrupt lines —
-    // quarantine those bytes first, from the primary file and every
-    // staged worker shard.
-    let mut quarantined = quarantine_bad_profile_lines(
-        dir,
-        musa_prof::PROFILES_FILE,
-        &dir.join(musa_prof::PROFILES_FILE),
-    )?;
-    let scratch = dir.join(musa_pool::lease::SCRATCH_DIR);
-    if let Ok(entries) = std::fs::read_dir(&scratch) {
-        let mut staged: Vec<String> = entries
-            .flatten()
-            .filter_map(|e| e.file_name().to_str().map(str::to_string))
-            .filter(|name| name.starts_with(musa_prof::WORKER_PROFILE_PREFIX))
-            .collect();
-        staged.sort();
-        for name in staged {
-            let rel = format!("{}/{name}", musa_pool::lease::SCRATCH_DIR);
-            quarantined += quarantine_bad_profile_lines(dir, &rel, &scratch.join(&name))?;
-        }
-    }
-    let (_, rep) = musa_prof::load_profiles(dir)?;
-    if rep.repaired_anything() {
-        musa_prof::harvest(dir)?;
-        actions.push(format!(
-            "profiles: harvested {} staged file(s), dropped {} torn/{} corrupt line(s) ({} quarantined first)",
-            rep.staged_files, rep.torn_tails, rep.corrupt, quarantined
-        ));
-    }
-    Ok(())
-}
-
 // ------------------------------------------------------------- scratch
 
 fn audit_scratch(dir: &Path) -> FamilyReport {
@@ -991,6 +837,7 @@ fn audit_quarantine(dir: &Path) -> FamilyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use musa_obs::json::JsonValue;
     use std::sync::Mutex;
 
     static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -1141,6 +988,7 @@ mod tests {
 
     #[test]
     fn duplicate_search_header_is_corrupt() {
+        use musa_search::journal::classify_line as validate_search_line;
         assert!(validate_search_line("{\"v\":1,\"kind\":\"header\"}", false).is_err());
         assert!(validate_search_line("{\"v\":1,\"kind\":\"gen\"}", true).is_err());
         assert!(validate_search_line("{\"v\":1,\"kind\":\"header\"}", true).is_ok());

@@ -1,25 +1,25 @@
 //! Reading profile files and the cross-process merge.
 //!
-//! A profile file is append-only JSONL of sealed [`PointProfile`]
-//! lines. Reads are lenient the way the lease journal's are: a torn
-//! final line (a kill -9 mid-append) is expected crash residue, a
-//! corrupt interior line is counted and skipped — profiles are
-//! telemetry, and refusing to start a campaign over a damaged one
-//! would invert the priorities.
+//! A profile file is a line log of sealed [`PointProfile`] lines on
+//! the shared path in [`musa_cache::integrity`]: the same torn-tail
+//! rule, classifier-driven scan and quarantine ledger as every other
+//! durable family. Reads are lenient — a corrupt line is counted and
+//! skipped, because profiles are telemetry and refusing to start a
+//! campaign over a damaged one would invert the priorities.
 //!
 //! [`harvest`] is the merge the supervisor (and the next `--resume`)
-//! runs: fold `<dir>/profiles.jsonl` plus every staged
-//! `pool/prof-*.jsonl` into one deduplicated, chronologically sorted
-//! `profiles.jsonl`, rewritten atomically (tmp + fsync + rename) and
+//! runs: quarantine corrupt lines, then fold `<dir>/profiles.jsonl`
+//! plus every staged `pool/prof-*.jsonl` into one deduplicated,
+//! chronologically sorted `profiles.jsonl`, rewritten atomically and
 //! the staging files removed only after the rewrite landed. Dedup is
 //! by point fingerprint, keeping the **latest attempt** — when a
 //! worker died after profiling a point but before its row survived,
 //! the re-simulation's record is the one that matches the surviving
 //! row.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use musa_cache::atomic_write;
+use musa_cache::{Scan, Tail};
 
 use crate::record::{PointProfile, PROFILES_FILE, WORKER_PROFILE_PREFIX};
 
@@ -34,6 +34,9 @@ pub struct HarvestReport {
     pub duplicates: usize,
     /// Torn final lines dropped (normal crash residue).
     pub torn_tails: usize,
+    /// Complete final records missing their newline (kept; the merge
+    /// terminates them so the next append cannot join onto them).
+    pub unterminated: usize,
     /// Corrupt interior lines skipped (checksum or parse failure).
     pub corrupt: usize,
 }
@@ -41,49 +44,43 @@ pub struct HarvestReport {
 impl HarvestReport {
     /// True when the merge changed anything on disk worth reporting.
     pub fn repaired_anything(&self) -> bool {
-        self.staged_files > 0 || self.duplicates > 0 || self.torn_tails > 0 || self.corrupt > 0
+        self.staged_files > 0
+            || self.duplicates > 0
+            || self.torn_tails > 0
+            || self.unterminated > 0
+            || self.corrupt > 0
     }
 
-    fn absorb_read(&mut self, other: &HarvestReport) {
-        self.torn_tails += other.torn_tails;
-        self.corrupt += other.corrupt;
+    fn absorb_scan(&mut self, scan: &Scan<PointProfile>) {
+        self.torn_tails += usize::from(scan.tail == Tail::Torn);
+        self.unterminated += usize::from(scan.tail == Tail::Unterminated);
+        self.corrupt += scan.corrupt().count();
     }
+}
+
+/// The profile family's line classifier; its error is the quarantine
+/// reason.
+pub fn classify_line(_line_no: usize, line: &str) -> Result<PointProfile, String> {
+    PointProfile::parse(line).ok_or_else(|| "profile record failed checksum or parse".to_string())
 }
 
 /// Read one profile file leniently. Missing file ⇒ empty. Records come
 /// back in file order.
 pub fn read_profile_file(path: &Path) -> std::io::Result<(Vec<PointProfile>, HarvestReport)> {
+    let scan = musa_cache::scan(path, classify_line)?;
     let mut report = HarvestReport::default();
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e),
-    };
-    let ends_with_newline = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    let last = lines.len().saturating_sub(1);
-    let mut records = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match PointProfile::parse(line) {
-            Some(p) => records.push(p),
-            None if i == last && !ends_with_newline => report.torn_tails += 1,
-            None => report.corrupt += 1,
-        }
-    }
+    report.absorb_scan(&scan);
+    let records = scan.values();
     report.records = records.len();
     Ok((records, report))
 }
 
-/// The staged per-worker profile files under `<dir>/pool`, sorted.
-fn staged_files(dir: &Path) -> Vec<std::path::PathBuf> {
-    let scratch = dir.join("pool");
-    let Ok(entries) = std::fs::read_dir(scratch) else {
-        return Vec::new();
-    };
-    let mut files: Vec<_> = entries
+/// Every profile file under `dir`: `profiles.jsonl`, then the staged
+/// per-worker files under `<dir>/pool`, sorted.
+pub fn profile_files(dir: &Path) -> Vec<PathBuf> {
+    let mut staged: Vec<PathBuf> = std::fs::read_dir(dir.join("pool"))
+        .into_iter()
+        .flatten()
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .filter(|p| {
@@ -92,26 +89,38 @@ fn staged_files(dir: &Path) -> Vec<std::path::PathBuf> {
                 .is_some_and(|n| n.starts_with(WORKER_PROFILE_PREFIX) && n.ends_with(".jsonl"))
         })
         .collect();
-    files.sort();
-    files
+    staged.sort();
+    staged.insert(0, dir.join(PROFILES_FILE));
+    staged
 }
 
-/// Merge, dedup and sort every profile record under `dir` **in
-/// memory** — the read path of `dse profile`, which must work on a
-/// store directory another process is still writing to.
-pub fn load_profiles(dir: &Path) -> std::io::Result<(Vec<PointProfile>, HarvestReport)> {
-    let (mut records, mut report) = read_profile_file(&dir.join(PROFILES_FILE))?;
-    for staged in staged_files(dir) {
-        let (mut more, stats) = read_profile_file(&staged)?;
-        report.staged_files += 1;
-        report.absorb_read(&stats);
-        records.append(&mut more);
+/// Scan, merge, dedup and sort every profile record under `dir`;
+/// with `quarantine`, corrupt lines go to the quarantine ledger in
+/// `dir` on the way.
+fn load(dir: &Path, quarantine: bool) -> std::io::Result<(Vec<PointProfile>, HarvestReport)> {
+    let mut report = HarvestReport::default();
+    let mut records = Vec::new();
+    for (i, path) in profile_files(dir).iter().enumerate() {
+        let scan = musa_cache::scan(path, classify_line)?;
+        if quarantine {
+            scan.quarantine(dir, path)?;
+        }
+        report.staged_files += usize::from(i > 0);
+        report.absorb_scan(&scan);
+        records.extend(scan.values());
     }
     let total = records.len();
     records = dedup_latest(records);
     report.duplicates = total - records.len();
     report.records = records.len();
     Ok((records, report))
+}
+
+/// Merge, dedup and sort every profile record under `dir` **in
+/// memory** — the read path of `dse profile`, which must work on a
+/// store directory another process is still writing to.
+pub fn load_profiles(dir: &Path) -> std::io::Result<(Vec<PointProfile>, HarvestReport)> {
+    load(dir, false)
 }
 
 /// Keep the latest attempt per point fingerprint, then sort
@@ -131,25 +140,25 @@ fn dedup_latest(mut records: Vec<PointProfile>) -> Vec<PointProfile> {
     out
 }
 
-/// Repair + merge on disk: fold staged worker files and crash residue
-/// into `<dir>/profiles.jsonl` with an atomic rewrite, then remove the
-/// staging files. Idempotent; a no-op (no rewrite) when there is
-/// nothing to repair. Survives kill -9 at any instruction: the rewrite
-/// is tmp + fsync + rename, and staging files are only removed after
-/// it landed (a crash between the two re-merges them harmlessly —
+/// Repair + merge on disk: quarantine corrupt lines, fold staged
+/// worker files and crash residue into `<dir>/profiles.jsonl` with an
+/// atomic rewrite, then remove the staging files. Idempotent; a no-op
+/// (no rewrite) when there is nothing to repair. Survives kill -9 at
+/// any instruction: quarantine precedes the rewrite (the ledger
+/// dedupes a replay), and staging files are only removed after the
+/// rewrite landed (a crash between the two re-merges them harmlessly —
 /// dedup makes the merge idempotent).
 pub fn harvest(dir: &Path) -> std::io::Result<HarvestReport> {
-    let (records, report) = load_profiles(dir)?;
+    let (records, report) = load(dir, true)?;
     if !report.repaired_anything() {
         return Ok(report);
     }
-    let mut text = String::new();
-    for r in &records {
-        text.push_str(&r.to_line());
-        text.push('\n');
-    }
-    atomic_write(&dir.join(PROFILES_FILE), text.as_bytes(), "prof.rewrite")?;
-    for staged in staged_files(dir) {
+    musa_cache::rewrite(
+        &dir.join(PROFILES_FILE),
+        records.iter().map(PointProfile::to_line),
+        "prof.rewrite",
+    )?;
+    for staged in &profile_files(dir)[1..] {
         let _ = std::fs::remove_file(staged);
     }
     Ok(report)
@@ -223,7 +232,7 @@ mod tests {
         assert_eq!(report.duplicates, 1);
         assert_eq!(report.records, 3);
         // Staging removed, merged file clean and chronologically sorted.
-        assert!(staged_files(&dir).is_empty());
+        assert_eq!(profile_files(&dir).len(), 1);
         let (records, clean) = load_profiles(&dir).unwrap();
         assert_eq!(clean.torn_tails + clean.corrupt + clean.duplicates, 0);
         assert_eq!(
@@ -255,6 +264,29 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(report.corrupt, 1);
         assert_eq!(report.torn_tails, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A final record missing only its newline is complete: harvest
+    /// keeps and terminates it, so the recorder's next append (the
+    /// path `install_store_recorder` takes) lands on a line of its own
+    /// and both records read back.
+    #[test]
+    fn unterminated_final_record_survives_the_next_append() {
+        let dir = tmp_dir("unterminated");
+        let a = sample("aaaa", "hydro", "c64", 100);
+        let b = sample("bbbb", "spmz", "c64", 200);
+        std::fs::write(dir.join(PROFILES_FILE), a.to_line()).unwrap();
+
+        let report = harvest(&dir).unwrap();
+        assert_eq!((report.unterminated, report.torn_tails), (1, 0));
+        let mut log = musa_cache::LineLog::open(&dir.join(PROFILES_FILE)).unwrap();
+        log.append(&b.to_line());
+        log.flush().unwrap();
+
+        let (records, stats) = read_profile_file(&dir.join(PROFILES_FILE)).unwrap();
+        assert_eq!(records, [a, b]);
+        assert_eq!((stats.corrupt, stats.torn_tails), (0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

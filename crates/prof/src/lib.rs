@@ -13,17 +13,15 @@
 //! Four cooperating pieces:
 //!
 //! * [`record`] — the [`PointProfile`] schema and its sealed JSONL
-//!   serialisation, the same CRC-32 discipline the campaign store uses
-//!   for rows ([`musa_cache::crc32`] over the canonical JSON, checksum
-//!   appended as the last field);
+//!   serialisation, the [`musa_cache::seal`] campaign rows use too;
 //! * [`recorder`] — the process-global recorder: a thread-local
 //!   accumulator fed by the `musa-obs` span layer (every pipeline span
 //!   completion is offered to an installed listener, so trace-gen,
 //!   detailed-sim, burst, dram, power, net-replay and store-flush all
 //!   land in the active point without the simulator knowing the
 //!   recorder exists), flushed as one line per point;
-//! * [`harvest`] — torn-tail-tolerant reading and the supervisor-side
-//!   merge: pool workers stage their records as
+//! * [`harvest`](mod@harvest) — reading through the shared line-log path
+//!   ([`musa_cache::integrity`]) and the supervisor-side merge: pool workers stage their records as
 //!   `pool/prof-l####-a#.jsonl` (invisible to the row loader, exactly
 //!   like heartbeats), the supervisor folds them into
 //!   `profiles.jsonl` with an atomic tmp+fsync+rename rewrite,
@@ -61,7 +59,7 @@ pub mod trace;
 /// build dead-code-eliminates the whole recording layer.
 pub const COMPILED: bool = cfg!(feature = "runtime");
 
-pub use harvest::{harvest, load_profiles, read_profile_file, HarvestReport};
+pub use harvest::{classify_line, harvest, load_profiles, profile_files, HarvestReport};
 pub use record::{
     worker_profile_file, PointProfile, PROFILES_FILE, PROF_SCHEMA, WORKER_PROFILE_PREFIX,
 };

@@ -4,13 +4,13 @@
 //! poisoned ones, which is exactly when the timing breakdown of the
 //! attempt matters most. Serialisation uses the dependency-free
 //! `musa_obs::json` writer (fixed key order, byte-deterministic) and
-//! the same sealing discipline as store rows: the line is the
-//! canonical JSON with a trailing `"crc"` field holding the CRC-32 of
-//! the canonical bytes, verified before a record is trusted on read.
+//! the shared [`musa_cache::seal`] of every CRC-carrying line log: the
+//! canonical JSON with a trailing `"crc"` field, verified against the
+//! stored bytes before a record is trusted on read.
 
 use std::collections::BTreeMap;
 
-use musa_cache::crc32;
+use musa_cache::{seal, unseal};
 use musa_obs::json::{JsonObj, JsonValue};
 
 /// Version of the profile record schema. Bump on shape changes;
@@ -111,7 +111,7 @@ impl PointProfile {
     /// The sealed line written to disk: canonical JSON with a trailing
     /// `"crc"` field of the canonical bytes (no newline).
     pub fn to_line(&self) -> String {
-        seal_line(&self.canonical_json())
+        seal(&self.canonical_json())
     }
 
     /// Parse one sealed line back. `None` for anything untrustworthy:
@@ -119,8 +119,7 @@ impl PointProfile {
     /// schema version. Readers count, never crash — a profile line is
     /// telemetry.
     pub fn parse(line: &str) -> Option<PointProfile> {
-        let (canonical, crc) = unseal_line(line)?;
-        if crc32(canonical.as_bytes()) != crc {
+        if unseal(line) != Some(true) {
             return None;
         }
         let v = JsonValue::parse(line.trim_end()).ok()?;
@@ -161,28 +160,6 @@ impl PointProfile {
     pub fn phase_ns(&self, phase: &str) -> u64 {
         self.phases.get(phase).copied().unwrap_or(0)
     }
-}
-
-/// Append the CRC-32 of `canonical` as a final `"crc"` field.
-/// `canonical` must be a JSON object (ends with `}`).
-fn seal_line(canonical: &str) -> String {
-    debug_assert!(canonical.ends_with('}'));
-    let crc = crc32(canonical.as_bytes());
-    format!("{},\"crc\":{}}}", &canonical[..canonical.len() - 1], crc)
-}
-
-/// Split a sealed line into (canonical JSON, stored CRC).
-fn unseal_line(line: &str) -> Option<(String, u32)> {
-    let line = line.trim_end();
-    let idx = line.rfind(",\"crc\":")?;
-    let crc: u32 = line
-        .get(idx + 7..line.len().checked_sub(1)?)?
-        .parse()
-        .ok()?;
-    if !line.ends_with('}') {
-        return None;
-    }
-    Some((format!("{}}}", &line[..idx]), crc))
 }
 
 /// Test fixture shared by this crate's unit tests.

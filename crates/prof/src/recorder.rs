@@ -10,10 +10,10 @@
 //! thread's accumulation into one sealed [`PointProfile`] line and
 //! appends it to the installed output file.
 //!
-//! Durability mirrors the pool heartbeats: one `write + flush` per
-//! point, torn final lines tolerated (and repaired) on read. The
-//! sequential fill appends to `<store-dir>/profiles.jsonl` directly
-//! (after a [`crate::harvest`] pass has repaired whatever a previous
+//! Durability mirrors the pool heartbeats: one `write` per point
+//! through a [`LineLog`]. The sequential fill appends to
+//! `<store-dir>/profiles.jsonl` directly (after a
+//! [`harvest`](fn@crate::harvest) pass has repaired whatever a previous
 //! crash left); pool workers stage into the pool scratch directory and
 //! are merged by the supervisor.
 //!
@@ -24,12 +24,12 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+use musa_cache::LineLog;
 
 use crate::harvest::{harvest, HarvestReport};
 use crate::record::{worker_profile_file, PointProfile, PROFILES_FILE, PROF_SCHEMA};
@@ -46,7 +46,7 @@ static RECORDER: Mutex<Option<Recorder>> = Mutex::new(None);
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 
 struct Recorder {
-    file: File,
+    log: LineLog,
     worker: String,
     /// Records offered for appending (the `prof.append` failpoint
     /// key): deterministic per recorder, so a fault plan targets e.g.
@@ -137,11 +137,7 @@ pub fn install_store_recorder(dir: &Path) -> std::io::Result<HarvestReport> {
         return Ok(HarvestReport::default());
     }
     let report = harvest(dir)?;
-    let file = OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(dir.join(PROFILES_FILE))?;
-    install(file, "fill".to_string());
+    install(LineLog::open(&dir.join(PROFILES_FILE))?, "fill".to_string());
     Ok(report)
 }
 
@@ -155,15 +151,15 @@ pub fn install_worker_recorder(dir: &Path, lease: u64, attempt: u32) -> std::io:
     }
     let scratch = dir.join("pool");
     std::fs::create_dir_all(&scratch)?;
-    let file = File::create(scratch.join(worker_profile_file(lease, attempt)))?;
-    install(file, format!("l{lease:04}-a{attempt}"));
+    let log = LineLog::open(&scratch.join(worker_profile_file(lease, attempt)))?;
+    install(log, format!("l{lease:04}-a{attempt}"));
     Ok(())
 }
 
-fn install(file: File, worker: String) {
+fn install(log: LineLog, worker: String) {
     let mut rec = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
     *rec = Some(Recorder {
-        file,
+        log,
         worker,
         offered: 0,
     });
@@ -171,8 +167,8 @@ fn install(file: File, worker: String) {
     ACTIVE.store(true, Ordering::Relaxed);
 }
 
-/// Tear the recorder down (flushes the file handle on drop). Safe to
-/// call when nothing is installed.
+/// Tear the recorder down (every record was flushed as it was
+/// written). Safe to call when nothing is installed.
 pub fn uninstall_recorder() {
     ACTIVE.store(false, Ordering::Relaxed);
     musa_obs::set_span_listener(None);
@@ -236,8 +232,8 @@ pub fn take_phase_ns(phase: &str) -> f64 {
 }
 
 /// Finish the current thread's point: drain the accumulation into one
-/// sealed record and append it to the installed file (one
-/// write + flush, torn tails repaired on read).
+/// sealed record and append it to the installed file (one write, torn
+/// tails repaired on the next harvest).
 pub fn point_finish(key: &str, app: &str, config: &str, poisoned: bool, retries: u32) {
     if !recording() {
         return;
@@ -276,21 +272,21 @@ pub fn point_finish(key: &str, app: &str, config: &str, poisoned: bool, retries:
     };
     let mut guard = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(rec) = guard.as_mut() {
-        let mut line = PointProfile {
+        let line = PointProfile {
             worker: rec.worker.clone(),
             ..profile
         }
         .to_line();
-        line.push('\n');
         // Best effort by design: a full disk must not fail the
         // simulation the record describes — the record is dropped and
         // counted (`prof.dropped`) instead, so a chaos drill (the
         // `prof.append` failpoint standing in for ENOSPC) can assert
         // that rows keep landing while profiles silently vanish.
         rec.offered += 1;
-        let appended = musa_fault::fail_io("prof.append", rec.offered)
-            .and_then(|()| rec.file.write_all(line.as_bytes()))
-            .and_then(|()| rec.file.flush());
+        let appended = musa_fault::fail_io("prof.append", rec.offered).and_then(|()| {
+            rec.log.append(&line);
+            rec.log.flush()
+        });
         if appended.is_err() {
             musa_obs::counter_add("prof.dropped", 1);
         }

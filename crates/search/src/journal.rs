@@ -32,17 +32,20 @@
 //!
 //! ## Durability
 //!
-//! Lines are appended with `write + fsync` before the driver moves on,
-//! so a `kill -9` loses at most the in-flight generation — whose
-//! evaluations are themselves durably memoized by the store as they
-//! flush. On open, a torn final line (no trailing newline) is dropped
-//! and the file truncated back to the last complete line.
+//! The journal is a line log on the shared path in
+//! [`musa_cache::integrity`]: lines are appended with
+//! `write + fdatasync` before the driver moves on, so a `kill -9`
+//! loses at most the in-flight generation — whose evaluations are
+//! themselves durably memoized by the store as they flush. On open a
+//! torn final line is truncated and a complete unterminated one is
+//! kept and terminated. Corrupt interior lines are left in place: the
+//! resume check refuses them, and `dse doctor --repair` preserves the
+//! whole file aside.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use musa_obs::json::JsonObj;
+use musa_cache::{LineLog, OnCorrupt};
+use musa_obs::json::{JsonObj, JsonValue};
 
 /// Journal line schema version.
 pub const JOURNAL_SCHEMA: u64 = 1;
@@ -117,14 +120,58 @@ pub fn done_line(evaluated: u64, front: u64, hypervolume: f64) -> String {
         .finish()
 }
 
+/// Validate one journal line: `first` lines must be the header, later
+/// ones `gen` or `done` records, all of this schema. The error is the
+/// reason a repair reports.
+pub fn classify_line(line: &str, first: bool) -> Result<(), String> {
+    let v = JsonValue::parse(line).map_err(|e| format!("unparsable JSON ({e})"))?;
+    let ver = v
+        .get("v")
+        .and_then(JsonValue::as_u64)
+        .ok_or_else(|| "missing \"v\" schema field".to_string())?;
+    if ver != JOURNAL_SCHEMA {
+        return Err(format!("foreign schema v{ver}"));
+    }
+    let kind = v
+        .get("kind")
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| "missing \"kind\" field".to_string())?;
+    match (first, kind) {
+        (true, "header") => Ok(()),
+        (true, other) => Err(format!("first line is {other:?}, expected the header")),
+        (false, "header") => Err("duplicate header past line 1".to_string()),
+        (false, "gen" | "done") => Ok(()),
+        (false, other) => Err(format!("unknown record kind {other:?}")),
+    }
+}
+
+/// The journal's line classifier for a scan: [`classify_line`], except
+/// that a journal whose header carries a newer schema belongs to a
+/// newer writer and every line is kept as-is.
+pub fn line_classifier() -> impl FnMut(usize, &str) -> Result<(), String> {
+    let mut newer = false;
+    move |line_no, line| {
+        if line_no == 1 {
+            newer = JsonValue::parse(line)
+                .ok()
+                .and_then(|v| v.get("v").and_then(JsonValue::as_u64))
+                .is_some_and(|v| v > JOURNAL_SCHEMA);
+        }
+        if newer {
+            Ok(())
+        } else {
+            classify_line(line, line_no == 1)
+        }
+    }
+}
+
 /// A journal opened for verified append: the existing complete lines
 /// plus a cursor-writer that checks replayed lines against them before
 /// appending anything new.
 #[derive(Debug)]
 pub struct SearchJournal {
-    path: PathBuf,
-    file: File,
-    /// Complete lines found on open (torn tail already dropped).
+    log: LineLog,
+    /// Lines found on open (torn tail already dropped).
     existing: Vec<String>,
     /// How many of `existing` have been matched by replay so far.
     cursor: usize,
@@ -153,42 +200,22 @@ impl std::fmt::Display for JournalMismatch {
 }
 
 impl SearchJournal {
-    /// Open (creating if missing) the journal at `path`, dropping any
-    /// torn final line by truncating the file back to the last
-    /// complete line.
+    /// Open (creating if missing) the journal at `path`, repairing its
+    /// tail (a torn final line is truncated, a complete unterminated
+    /// one terminated). Corrupt interior lines stay in place and in
+    /// [`Self::existing`], where the resume check refuses them.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<SearchJournal> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        let mut buf = String::new();
-        file.read_to_string(&mut buf)?;
-        let complete_len = match buf.rfind('\n') {
-            Some(last_nl) => last_nl + 1,
-            None => 0,
-        };
-        if complete_len < buf.len() {
-            // Torn tail from a kill mid-append: drop it.
-            file.set_len(complete_len as u64)?;
-            file.seek(std::io::SeekFrom::End(0))?;
-        }
-        let existing: Vec<String> = buf[..complete_len].lines().map(str::to_string).collect();
+        let (scan, log) =
+            musa_cache::open_repairing(path, line_classifier(), OnCorrupt::Keep, "store.rewrite")?;
         Ok(SearchJournal {
-            path,
-            file,
-            existing,
+            log,
+            existing: scan.lines.into_iter().map(|l| l.raw).collect(),
             cursor: 0,
         })
-    }
-
-    /// The journal path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Complete lines present when the journal was opened.
@@ -219,9 +246,7 @@ impl SearchJournal {
             self.cursor += 1;
             return Ok(Ok(()));
         }
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        self.file.sync_data()?;
+        self.log.append_synced(line)?;
         self.cursor += 1;
         Ok(Ok(()))
     }
@@ -230,6 +255,9 @@ impl SearchJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir =

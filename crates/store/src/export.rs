@@ -4,7 +4,7 @@
 //! so every consumer shares one tested implementation; this module only
 //! adds the file plumbing the `dse` binary used to hand-roll.
 //!
-//! Exports are written through [`crate::integrity::atomic_write`]: a
+//! Exports are written through [`crate::atomic_write`]: a
 //! crash (or an injected `export.write` fault) mid-export leaves the
 //! previous file intact, never a truncated one a plotting script would
 //! silently mis-read.
@@ -15,7 +15,7 @@ use musa_core::report::campaign_csv;
 use musa_core::Campaign;
 use musa_obs::json::ToJson;
 
-use crate::integrity::atomic_write;
+use crate::atomic_write;
 use crate::store::CampaignStore;
 
 /// Write a campaign as CSV, atomically. Returns the number of data

@@ -11,15 +11,15 @@
 //!
 //! ## Durability model
 //!
-//! Appends are `write + fdatasync`, one event per line, so the journal
-//! survives anything the store's own rows survive. A crash can still
-//! tear the final line; [`LeaseJournal::open`] repairs exactly like
-//! the row stores do — surviving lines are rewritten atomically
-//! (tmp + fsync + rename) and the torn tail is dropped. Replay
-//! ([`replay`]) is lenient: a torn tail or an unparsable interior line
-//! is counted and skipped, never fatal, because the journal is
-//! recovery metadata — losing an event costs at most one redundant
-//! worker attempt, while refusing to start would cost the campaign.
+//! The journal is a line log on the shared path in
+//! [`musa_cache::integrity`] (torn-tail rule, repair, quarantine):
+//! appends are `write + fdatasync`, one event per line, and
+//! [`LeaseJournal::open`] repairs through it, quarantining unparsable
+//! lines before rewriting the survivors. Replay ([`replay`]) is
+//! lenient — a torn tail or an unparsable interior line is counted and
+//! skipped, never fatal, because the journal is recovery metadata:
+//! losing an event costs at most one redundant worker attempt, while
+//! refusing to start would cost the campaign.
 //!
 //! The file is deliberately **not** named `*.jsonl`: the row loader
 //! globs `*.jsonl`, and lease events must never be mistaken for
@@ -28,13 +28,10 @@
 //! Serialisation uses the `musa_obs::json` reader and writer.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use musa_cache::{LineLog, OnCorrupt, Scan, Tail};
 use musa_obs::json::{JsonObj, JsonValue};
-
-use crate::integrity::atomic_write;
 
 /// Name of the lease journal inside the store directory.
 pub const LEASE_JOURNAL_FILE: &str = "leases.journal";
@@ -378,56 +375,54 @@ impl JournalReplay {
     }
 }
 
-/// Replay the journal in `dir` **leniently**: a missing file is an
-/// empty replay, a torn tail or unparsable interior line is counted
-/// and skipped. Never writes.
-pub fn replay(dir: &Path) -> JournalReplay {
-    replay_path(&dir.join(LEASE_JOURNAL_FILE))
+/// The lease journal's line classifier; its error is the quarantine
+/// reason.
+pub fn classify_line(_line_no: usize, line: &str) -> Result<LeaseEvent, String> {
+    LeaseEvent::parse(line).map_err(|e| format!("lease journal line failed to parse: {e}"))
 }
 
-fn replay_path(path: &Path) -> JournalReplay {
-    let mut out = JournalReplay {
-        clean_terminated: true,
-        ..JournalReplay::default()
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return out;
-    };
-    let ends_with_newline = text.ends_with('\n');
-    out.clean_terminated = ends_with_newline || text.is_empty();
-    let lines: Vec<&str> = text.lines().collect();
-    let last = lines.len().saturating_sub(1);
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match LeaseEvent::parse(line) {
-            Ok(ev) => out.events.push(ev),
-            Err(_) if i == last && !ends_with_newline => out.torn_tail = true,
-            Err(_) => out.skipped += 1,
+impl From<Scan<LeaseEvent>> for JournalReplay {
+    fn from(scan: Scan<LeaseEvent>) -> JournalReplay {
+        JournalReplay {
+            torn_tail: scan.tail == Tail::Torn,
+            skipped: scan.corrupt().count() as u64,
+            clean_terminated: scan.tail == Tail::Clean,
+            events: scan.values(),
         }
     }
-    out
+}
+
+/// Replay the journal in `dir` **leniently**: a missing or unreadable
+/// file is an empty replay, a torn tail or unparsable interior line is
+/// counted and skipped. Never writes.
+pub fn replay(dir: &Path) -> JournalReplay {
+    musa_cache::scan(&dir.join(LEASE_JOURNAL_FILE), classify_line)
+        .unwrap_or_default()
+        .into()
 }
 
 /// An open, appendable lease journal.
 pub struct LeaseJournal {
-    path: PathBuf,
-    file: File,
+    log: LineLog,
     seq: u64,
 }
 
 impl LeaseJournal {
     /// Open (or create) the journal in `dir`, repairing a torn tail or
-    /// corrupt interior lines by atomically rewriting the surviving
-    /// events first, and return it together with the replayed state.
-    /// Only the supervisor calls this; workers never touch the
-    /// journal.
+    /// corrupt interior lines (quarantined to `<dir>/quarantine.jsonl`
+    /// first) by atomically rewriting the surviving events, and return
+    /// it together with the replayed state. Only the supervisor calls
+    /// this; workers never touch the journal.
     pub fn open(dir: &Path) -> std::io::Result<(LeaseJournal, JournalReplay)> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(LEASE_JOURNAL_FILE);
-        let replayed = replay_path(&path);
-        if replayed.torn_tail || replayed.skipped > 0 || !replayed.clean_terminated {
+        let (scan, log) = musa_cache::open_repairing(
+            &dir.join(LEASE_JOURNAL_FILE),
+            classify_line,
+            OnCorrupt::Quarantine(dir),
+            "store.rewrite",
+        )?;
+        let replayed = JournalReplay::from(scan);
+        if replayed.skipped > 0 || !replayed.clean_terminated {
             musa_obs::warn(
                 "musa-store",
                 "lease journal repaired",
@@ -436,27 +431,14 @@ impl LeaseJournal {
                     ("skipped", replayed.skipped.into()),
                 ],
             );
-            let mut out = String::new();
-            for ev in &replayed.events {
-                out.push_str(&ev.to_json());
-                out.push('\n');
-            }
-            atomic_write(&path, out.as_bytes(), "store.rewrite")?;
         }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok((
             LeaseJournal {
-                path,
-                file,
+                log,
                 seq: replayed.events.len() as u64,
             },
             replayed,
         ))
-    }
-
-    /// Path of the journal file.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Append one event durably (`write + fdatasync`). Carries the
@@ -464,16 +446,14 @@ impl LeaseJournal {
     pub fn append(&mut self, ev: &LeaseEvent) -> std::io::Result<()> {
         self.seq += 1;
         musa_fault::fail_io("pool.lease", self.seq)?;
-        let mut line = ev.to_json();
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.sync_data()
+        self.log.append_synced(&ev.to_json())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -609,60 +589,47 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The store property test's property, applied to the journal:
-    /// truncating the file at **every** byte offset must keep exactly
-    /// the events whose full line (newline included) survived, and
-    /// never fail the replay. Exhaustive rather than sampled — the
-    /// file is small enough to try every cut, which is strictly
-    /// stronger than drawing random offsets.
+    /// The owners repair without the doctor and still destroy no
+    /// evidence: a garbage interior line in the lease journal and in
+    /// `profiles.jsonl` each lands in `quarantine.jsonl` when the
+    /// owner itself (supervisor journal open, profile harvest) opens
+    /// the file.
     #[test]
-    fn replay_survives_truncation_at_every_offset() {
-        let dir = tmp_dir("truncate");
-        let path = dir.join(LEASE_JOURNAL_FILE);
-        let mut full = String::new();
-        for ev in sample_events() {
-            full.push_str(&ev.to_json());
-            full.push('\n');
-        }
-        let bytes = full.as_bytes();
-        for n in 0..=bytes.len() {
-            // Events that must survive a cut at byte `n`: every
-            // newline-terminated line, plus the trailing fragment iff
-            // it happens to be a complete serialisation (a crash that
-            // cut exactly between the final `}` and its newline).
-            let complete = bytes[..n].iter().filter(|&&b| b == b'\n').count();
-            let tail_start = bytes[..n]
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |p| p + 1);
-            let tail = &full[tail_start..n];
-            let tail_parses = !tail.is_empty() && LeaseEvent::parse(tail).is_ok();
-            let expected = complete + usize::from(tail_parses);
+    fn owners_quarantine_corrupt_lines_without_the_doctor() {
+        let dir = tmp_dir("owners");
+        let good = LeaseEvent::Complete {
+            simulated: 1,
+            poisoned: 0,
+        };
+        std::fs::write(
+            dir.join(LEASE_JOURNAL_FILE),
+            format!("lease garbage\n{}\n", good.to_json()),
+        )
+        .unwrap();
+        std::fs::write(dir.join(musa_prof::PROFILES_FILE), "profile garbage\n").unwrap();
 
-            std::fs::write(&path, &bytes[..n]).unwrap();
-            let replayed = replay_path(&path);
-            assert_eq!(
-                replayed.events,
-                sample_events()[..expected],
-                "cut at byte {n}: surviving events wrong"
-            );
-            assert_eq!(replayed.skipped, 0, "cut at byte {n}");
-            let torn = !tail.is_empty() && !tail_parses;
-            assert_eq!(replayed.torn_tail, torn, "cut at byte {n}");
-            // Opening for append must repair so that a subsequent
-            // append never concatenates onto an un-terminated line.
-            let (mut journal, _) = LeaseJournal::open(&dir).unwrap();
-            let appended = LeaseEvent::Interrupted {
-                reason: "probe".into(),
-            };
-            journal.append(&appended).unwrap();
-            drop(journal);
-            let after = replay_path(&path);
-            assert!(!after.torn_tail, "cut at byte {n}: repair left a tear");
-            assert_eq!(after.events.len(), expected + 1, "cut at byte {n}");
-            assert_eq!(after.events[..expected], sample_events()[..expected]);
-            assert_eq!(after.events[expected], appended, "cut at byte {n}");
-        }
+        let (_, replayed) = LeaseJournal::open(&dir).unwrap();
+        assert_eq!(replayed.events, vec![good]);
+        musa_prof::harvest(&dir).unwrap();
+
+        let evidence: Vec<musa_cache::QuarantineRecord> =
+            std::fs::read_to_string(dir.join(musa_cache::QUARANTINE_FILE))
+                .unwrap()
+                .lines()
+                .map(|l| musa_obs::json::from_str(l).unwrap())
+                .collect();
+        let raws: Vec<(&str, &str)> = evidence
+            .iter()
+            .map(|r| (r.file.as_str(), r.raw.as_str()))
+            .collect();
+        assert_eq!(
+            raws,
+            [
+                (LEASE_JOURNAL_FILE, "lease garbage"),
+                (musa_prof::PROFILES_FILE, "profile garbage")
+            ]
+        );
+        assert_eq!(replay(&dir).skipped, 0, "journal rewritten without it");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

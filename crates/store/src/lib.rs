@@ -15,8 +15,6 @@
 //!   simulating only missing points (thread-parallel, batched flushes,
 //!   progress/ETA on stderr) and [`Campaign`](musa_core::Campaign)
 //!   views for the figure harnesses;
-//! * [`integrity`] — CRC32 row checksums and crash-atomic file
-//!   replacement (tmp + fsync + rename);
 //! * [`journal`] — the crash-safe lease journal `musa-pool` uses to
 //!   supervise multi-process sweeps (grants, deaths, requeues and
 //!   poisoned points, replayed on `--resume`);
@@ -24,13 +22,11 @@
 //!
 //! ## Failure model
 //!
-//! Rows carry a CRC32 sealed at append time and verified on load.
-//! Opening a writable store self-heals: torn final lines (interrupted
-//! appends) are truncated away, corrupt rows are moved to
-//! `quarantine.jsonl` with provenance and the shard is rewritten
-//! atomically. A read-only open never writes — it skips the same rows,
-//! degrades past unreadable files and reports it all via
-//! [`CampaignStore::health`]. See [`store`] for the full model and
+//! Row files and the lease journal are sealed line logs: the shared
+//! scan / seal / repair / quarantine path and its torn-tail rule live
+//! in [`musa_cache::integrity`]. A writable open repairs through it; a
+//! read-only open never writes and reports what it skipped via
+//! [`CampaignStore::health`]. See [`store`] for the row classifier and
 //! `musa-fault` for the failpoints that chaos-test it.
 //!
 //! ## Example
@@ -52,19 +48,22 @@
 //! ```
 
 pub mod export;
-pub mod integrity;
 pub mod journal;
 pub mod key;
 pub mod shard;
 pub mod store;
 
 pub use export::{write_csv, write_json};
-pub use integrity::{atomic_write, crc32};
 pub use journal::{JournalReplay, LeaseEvent, LeaseJournal, PoolPoisonRecord, LEASE_JOURNAL_FILE};
 pub use key::{fnv1a_64, PointKey, SCHEMA_VERSION};
+/// CRC-32, crash-atomic replacement and the quarantine ledger are
+/// shared with every other durable family through `musa-cache`.
+pub use musa_cache::{
+    atomic_write, crc32, is_quarantine_file, quarantine_evidence, QuarantineRecord,
+    QUARANTINE_FILE, QUARANTINE_KEEP, QUARANTINE_ROTATE_BYTES,
+};
 pub use shard::Shard;
 pub use store::{
-    is_quarantine_file, quarantine_evidence, CampaignStore, FillOptions, FillReport, PoisonedPoint,
-    QuarantineRecord, StoreHealth, StoreRow, DEFAULT_BATCH, DEFAULT_MAX_RETRIES,
-    DEFAULT_WRITE_FILE, QUARANTINE_FILE, QUARANTINE_KEEP, QUARANTINE_ROTATE_BYTES,
+    CampaignStore, FillOptions, FillReport, PoisonedPoint, StoreHealth, StoreRow, DEFAULT_BATCH,
+    DEFAULT_MAX_RETRIES, DEFAULT_WRITE_FILE,
 };

@@ -10,107 +10,38 @@
 //!
 //! ## Failure model
 //!
-//! Every written row carries a CRC32 of its canonical JSON, verified
-//! on load. Opening a store **repairs** what a crash can legitimately
-//! leave behind and **quarantines** what it cannot:
+//! Every row file is a sealed line log (see [`musa_cache::integrity`]
+//! for the torn-tail rule, sealing, repair and the quarantine ledger).
+//! The row classifier decides, in this order:
 //!
-//! * a torn final line (interrupted append, no trailing newline) is
-//!   truncated away and re-simulated on the next fill — a normal crash
-//!   artifact, not corruption;
-//! * a row that parses but fails its checksum or key fingerprint, or a
-//!   mid-file line that does not parse at all, is moved to
-//!   [`QUARANTINE_FILE`] with its provenance and the shard is rewritten
-//!   atomically without it — reopening is then stable (quarantine runs
-//!   at most once per bad row);
-//! * rows written by a newer or older schema stay on disk untouched and
-//!   are skipped in memory.
+//! * a row whose key fingerprint and checksum both verify loads;
+//! * a row written by a newer or older schema stays on disk untouched
+//!   and is skipped in memory;
+//! * a current-schema row failing its key or checksum, or a line that
+//!   does not parse, is corrupt and goes to
+//!   [`QUARANTINE_FILE`](crate::QUARANTINE_FILE) when a writable open
+//!   repairs the file.
 //!
 //! A read-only open ([`CampaignStore::open_read_only`]) never writes:
 //! it skips the same rows, counts them in [`StoreHealth`], and
 //! degrades past unreadable files instead of failing the whole load.
 
-use std::collections::{HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use musa_apps::{generate, AppId, GenParams};
 use musa_arch::NodeConfig;
-use musa_cache::ArtifactCache;
+use musa_cache::{quarantine_rotation, ArtifactCache, LineLog, OnCorrupt, Tail, QUARANTINE_KEEP};
 use musa_core::{par_map, Campaign, ConfigResult, MultiscaleSim, SweepOptions};
 use musa_obs::json::{from_str, ToJson};
 use musa_obs::Progress;
 
-use crate::integrity::{atomic_write, crc32};
 use crate::key::{PointKey, SCHEMA_VERSION};
 use crate::shard::Shard;
 
 /// Default name of the JSONL file unsharded runs append to.
 pub const DEFAULT_WRITE_FILE: &str = "rows.jsonl";
-
-/// File corrupt rows are moved to on open (one [`QuarantineRecord`]
-/// per line). Never loaded as campaign data.
-pub const QUARANTINE_FILE: &str = "quarantine.jsonl";
-
-/// Size cap (bytes) at which [`QUARANTINE_FILE`] rotates to
-/// `quarantine.1.jsonl` before the next append: existing rotations
-/// shift up and the one past [`QUARANTINE_KEEP`] is dropped (its loss
-/// recorded on the `store.quarantine_dropped` counter). Lines moved
-/// out of the primary are counted in
-/// [`StoreHealth::quarantine_rotated`] so `/healthz` stays honest
-/// about evidence that no longer sits in the primary file.
-/// `MUSA_QUARANTINE_CAP` (bytes) overrides the cap — tests use tiny
-/// ones to exercise rotation cheaply.
-pub const QUARANTINE_ROTATE_BYTES: u64 = 1 << 20;
-
-/// Rotated quarantine files kept beside the primary
-/// (`quarantine.1.jsonl` … `quarantine.K.jsonl`, newest first).
-pub const QUARANTINE_KEEP: u32 = 3;
-
-/// `true` for the quarantine file and its rotations — provenance
-/// evidence, never loaded as campaign rows. The prefix test matters:
-/// a rotation (`quarantine.1.jsonl`) mistaken for a row shard would
-/// flood the quarantine with its own records on the next open.
-pub fn is_quarantine_file(name: &str) -> bool {
-    name == QUARANTINE_FILE || (name.starts_with("quarantine.") && name.ends_with(".jsonl"))
-}
-
-fn quarantine_rotation_path(dir: &Path, i: u32) -> PathBuf {
-    dir.join(format!("quarantine.{i}.jsonl"))
-}
-
-fn quarantine_cap() -> u64 {
-    std::env::var("MUSA_QUARANTINE_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(QUARANTINE_ROTATE_BYTES)
-}
-
-/// Append one provenance record produced *outside* the row loader —
-/// a corrupt journal line the doctor pulled, a preserved file moved
-/// aside — to `<dir>/quarantine.jsonl`, with the loader's own dedupe
-/// across the primary file and every rotation. Returns `true` when a
-/// line was appended, `false` when the identical incident (same raw
-/// bytes, same reason) was already on record.
-pub fn quarantine_evidence(dir: &Path, record: &QuarantineRecord) -> std::io::Result<bool> {
-    let path = dir.join(QUARANTINE_FILE);
-    let mut seen = existing_quarantine_fingerprints(&path);
-    for i in 1..=QUARANTINE_KEEP {
-        seen.extend(existing_quarantine_fingerprints(&quarantine_rotation_path(
-            dir, i,
-        )));
-    }
-    if seen.contains(&quarantine_fingerprint(&record.raw, &record.reason)) {
-        return Ok(false);
-    }
-    let line = record.to_json();
-    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-    file.write_all(line.as_bytes())?;
-    file.write_all(b"\n")?;
-    file.sync_all()?;
-    Ok(true)
-}
 
 /// Default number of points simulated between flushes.
 pub const DEFAULT_BATCH: usize = 64;
@@ -133,11 +64,11 @@ pub struct StoreRow {
     pub full_replay: bool,
     /// The simulation result.
     pub result: ConfigResult,
-    /// CRC32 of the row's canonical JSON with this field absent.
-    /// Written on append, verified then stripped on load; `None` in
-    /// memory and on rows from pre-checksum stores (grandfathered in
-    /// unverified rather than rejected). Omitted from the JSON when
-    /// `None`.
+    /// CRC32 of the row's canonical JSON with this field absent: the
+    /// [`musa_cache::seal`] written on append, verified against the
+    /// stored bytes then stripped on load; `None` in memory and on rows
+    /// from pre-checksum stores (grandfathered in unverified rather
+    /// than rejected). Omitted from the JSON when `None`.
     pub crc: Option<u32>,
 }
 
@@ -181,75 +112,36 @@ impl StoreRow {
                     self.full_replay,
                 ))
     }
+}
 
-    /// The row's canonical JSON — its serialisation with `crc` absent,
-    /// which is both the written byte prefix and the checksum input.
-    fn canonical_json(&self) -> String {
-        if self.crc.is_none() {
-            return self.to_json();
-        }
-        let mut unsealed = self.clone();
-        unsealed.crc = None;
-        unsealed.to_json()
+/// What the row classifier made of one line it kept.
+enum RowLine {
+    /// Current schema, key and checksum verified.
+    Valid(StoreRow),
+    /// Healthy row of a newer schema (its schema number).
+    Newer(u32),
+    /// Healthy row of an older schema (its schema number).
+    Stale(u32),
+}
+
+/// The row family's line classifier. The order is the contract:
+/// verified rows load, other-schema rows stay on disk, and only a
+/// current-schema row that fails its key or checksum (or a line that
+/// does not parse) is corrupt.
+fn classify_row(line: &str) -> Result<RowLine, String> {
+    let row = from_str::<StoreRow>(line).map_err(|e| format!("unparsable row: {e}"))?;
+    let sealed = row.crc.is_none() || musa_cache::unseal(line) == Some(true);
+    if row.is_consistent() && sealed {
+        Ok(RowLine::Valid(row))
+    } else if row.schema > SCHEMA_VERSION {
+        Ok(RowLine::Newer(row.schema))
+    } else if row.schema < SCHEMA_VERSION {
+        Ok(RowLine::Stale(row.schema))
+    } else if sealed {
+        Err("stored key does not match the recomputed fingerprint".to_string())
+    } else {
+        Err("checksum mismatch (row bytes altered after write)".to_string())
     }
-
-    /// Verify the stored checksum. Rows without one (pre-checksum
-    /// stores) pass: the field was introduced after the first
-    /// campaigns shipped and old rows are grandfathered in.
-    pub fn crc_matches(&self) -> bool {
-        match self.crc {
-            None => true,
-            Some(c) => crc32(self.canonical_json().as_bytes()) == c,
-        }
-    }
-}
-
-/// Append `,"crc":N` to a canonical row serialisation — exactly the
-/// bytes the writer emits for the row with `crc: Some(N)`, in one
-/// serialisation pass instead of two.
-fn seal_line(canonical: &str) -> String {
-    debug_assert!(canonical.ends_with('}'));
-    format!(
-        "{},\"crc\":{}}}",
-        &canonical[..canonical.len() - 1],
-        crc32(canonical.as_bytes())
-    )
-}
-
-/// Identity of a quarantine record for dedupe purposes: content
-/// fingerprints of the raw line and the reason (the same FNV used by
-/// musa-fault keys). File and line number are deliberately excluded —
-/// the *same* bad row re-encountered at a shifted offset is still the
-/// same incident.
-fn quarantine_fingerprint(raw: &str, reason: &str) -> u64 {
-    musa_fault::key_of(&[raw.as_bytes(), b"\0", reason.as_bytes()])
-}
-
-/// Fingerprints of every record already in the quarantine file.
-/// Unparsable lines are ignored (the quarantine file is advisory
-/// provenance, not campaign data).
-fn existing_quarantine_fingerprints(path: &Path) -> HashSet<u64> {
-    let mut seen = HashSet::new();
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return seen;
-    };
-    for line in text.lines() {
-        if let Ok(v) = musa_obs::json::JsonValue::parse(line) {
-            if let (Some(raw), Some(reason)) = (
-                v.get("raw").and_then(|x| x.as_str()),
-                v.get("reason").and_then(|x| x.as_str()),
-            ) {
-                seen.insert(quarantine_fingerprint(raw, reason));
-            }
-        }
-    }
-    seen
-}
-
-fn file_name_of(path: &Path) -> String {
-    path.file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.display().to_string())
 }
 
 /// Best-effort text of a caught panic payload.
@@ -263,33 +155,11 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Provenance of one quarantined row: where it sat, why it was pulled,
-/// and its raw bytes (nothing is silently destroyed — an operator can
-/// still inspect or salvage the line).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantineRecord {
-    /// File the row was quarantined from.
-    pub file: String,
-    /// 1-based line number at quarantine time.
-    pub line: usize,
-    /// Why the row was rejected.
-    pub reason: String,
-    /// The verbatim rejected line.
-    pub raw: String,
-}
-
-musa_obs::json_struct!(QuarantineRecord {
-    file,
-    line,
-    reason,
-    raw
-});
-
 /// What loading found wrong with the on-disk store — the health the
 /// serving layer reports from `/healthz`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreHealth {
-    /// Corrupt rows moved to [`QUARANTINE_FILE`] (write mode) or
+    /// Corrupt rows moved to the quarantine ledger (write mode) or
     /// skipped in memory (read-only).
     pub quarantined: u64,
     /// Torn final lines truncated away (write mode) or skipped
@@ -307,8 +177,8 @@ pub struct StoreHealth {
     /// journal. These rows are *absent* from the store and a plain
     /// resume will not re-attempt them.
     pub pool_poisoned: u64,
-    /// Quarantine records rotated out of the primary
-    /// [`QUARANTINE_FILE`]: lines sitting in `quarantine.N.jsonl`
+    /// Quarantine records rotated out of the primary ledger file:
+    /// lines sitting in `quarantine.N.jsonl`
     /// rotations at open time, plus lines moved out of the primary by
     /// rotations during this store's lifetime. Keeps the total
     /// quarantine evidence reported by `/healthz` honest after the
@@ -425,7 +295,7 @@ pub struct CampaignStore {
     rows: Vec<StoreRow>,
     index: HashMap<u64, usize>,
     by_app: HashMap<String, Vec<usize>>,
-    writer: Option<BufWriter<File>>,
+    writer: Option<LineLog>,
     read_only: bool,
     /// Whether this open may rewrite files on disk (truncate torn
     /// tails, move corrupt rows to quarantine). False for read-only
@@ -543,7 +413,7 @@ impl CampaignStore {
             .filter(|p| {
                 p.file_name()
                     .and_then(|n| n.to_str())
-                    .is_none_or(|n| !is_quarantine_file(n) && n != musa_prof::PROFILES_FILE)
+                    .is_none_or(|n| !crate::is_quarantine_file(n) && n != musa_prof::PROFILES_FILE)
             })
             .collect();
         files.sort();
@@ -551,7 +421,7 @@ impl CampaignStore {
         // rotates more: evidence already outside the primary at open
         // time, never double-counted with this open's own rotations.
         for i in 1..=QUARANTINE_KEEP {
-            if let Ok(text) = std::fs::read_to_string(quarantine_rotation_path(&store.dir, i)) {
+            if let Ok(text) = std::fs::read_to_string(quarantine_rotation(&store.dir, i)) {
                 store.health.quarantine_rotated += text.lines().count() as u64;
             }
         }
@@ -569,8 +439,8 @@ impl CampaignStore {
     /// repair the file afterwards (truncate a torn tail, quarantine
     /// corrupt rows) so the next open is clean.
     fn load_file(&mut self, path: &Path) -> std::io::Result<()> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
+        let scan = match musa_cache::scan(path, |_, line| classify_row(line)) {
+            Ok(scan) => scan,
             Err(e) if !self.repair => {
                 self.health.files_skipped += 1;
                 musa_obs::warn(
@@ -585,112 +455,22 @@ impl CampaignStore {
             }
             Err(e) => return Err(e),
         };
-        let ends_with_newline = text.ends_with('\n');
-        let lines: Vec<&str> = text.lines().collect();
-        let last = lines.len().saturating_sub(1);
-        // Lines preserved verbatim if the file has to be rewritten:
-        // loadable rows plus other-schema rows (healthy data for a
-        // different binary, not ours to destroy).
-        let mut kept: Vec<&str> = Vec::new();
-        let mut quarantined: Vec<QuarantineRecord> = Vec::new();
-        let mut torn_tail = false;
-        for (i, &line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match from_str::<StoreRow>(line) {
-                Ok(row) if row.is_consistent() && row.crc_matches() => {
-                    let mut row = row;
-                    row.crc = None; // checksums live on disk, not in memory
-                    self.insert_mem(row);
-                    kept.push(line);
-                }
-                // Forward compatibility: a row written by a *newer*
-                // musa-store (mixed-version shard directories, e.g. one
-                // worker upgraded mid-campaign) is healthy data this
-                // binary cannot interpret — skip it with its own
-                // message and counter so the operator sees an upgrade
-                // hint, not a corruption scare.
-                Ok(row) if row.schema > SCHEMA_VERSION => {
-                    self.health.rows_newer_schema += 1;
-                    musa_obs::counter_add("store.rows_newer_schema", 1);
-                    musa_obs::warn(
-                        "musa-store",
-                        "row written by a newer musa-store, skipped (upgrade this binary to read it)",
-                        &[
-                            ("file", path.display().to_string().into()),
-                            ("line", (i + 1).into()),
-                            ("row_schema", row.schema.into()),
-                            ("supported_schema", SCHEMA_VERSION.into()),
-                        ],
-                    );
-                    kept.push(line);
-                }
-                Ok(row) if row.schema < SCHEMA_VERSION => {
-                    self.health.rows_stale_schema += 1;
-                    musa_obs::warn(
-                        "musa-store",
-                        "stale-schema row skipped",
-                        &[
-                            ("file", path.display().to_string().into()),
-                            ("line", (i + 1).into()),
-                            ("row_schema", row.schema.into()),
-                        ],
-                    );
-                    kept.push(line);
-                }
-                // Current schema but provably wrong content: the key
-                // fingerprint or the checksum does not match. This is
-                // corruption, not a crash artifact — quarantine it.
-                Ok(row) => {
-                    let reason = if row.crc_matches() {
-                        "stored key does not match the recomputed fingerprint"
-                    } else {
-                        "checksum mismatch (row bytes altered after write)"
-                    };
-                    quarantined.push(QuarantineRecord {
-                        file: file_name_of(path),
-                        line: i + 1,
-                        reason: reason.to_string(),
-                        raw: line.to_string(),
-                    });
-                }
-                Err(e) => {
-                    // A final line without its newline is the signature
-                    // of an append cut short by a crash: repair by
-                    // truncation. Unparsable bytes anywhere else (or a
-                    // *complete* garbage final line) are corruption.
-                    if i == last && !ends_with_newline {
-                        torn_tail = true;
-                        self.health.tails_repaired += 1;
-                        musa_obs::counter_add("store.tail_truncated", 1);
-                        musa_obs::warn(
-                            "musa-store",
-                            "torn final line from an interrupted write, truncated",
-                            &[
-                                ("file", path.display().to_string().into()),
-                                ("line", (i + 1).into()),
-                            ],
-                        );
-                    } else {
-                        quarantined.push(QuarantineRecord {
-                            file: file_name_of(path),
-                            line: i + 1,
-                            reason: format!("unparsable row: {e}"),
-                            raw: line.to_string(),
-                        });
-                    }
-                }
-            }
+        if scan.tail == Tail::Torn {
+            self.health.tails_repaired += 1;
+            musa_obs::counter_add("store.tail_truncated", 1);
+            musa_obs::warn(
+                "musa-store",
+                "torn final line from an interrupted write, truncated",
+                &[("file", path.display().to_string().into())],
+            );
         }
-
-        if !quarantined.is_empty() {
-            self.health.quarantined += quarantined.len() as u64;
-            musa_obs::counter_add("store.quarantined", quarantined.len() as u64);
+        if let Some((first, reason)) = scan.corrupt().next() {
+            let n = scan.corrupt().count();
+            self.health.quarantined += n as u64;
+            musa_obs::counter_add("store.quarantined", n as u64);
             // One warning per file, not one per row: a file with a
             // thousand corrupt rows is one incident, and a log flooded
             // by it buries every other signal.
-            let first = &quarantined[0];
             musa_obs::warn(
                 "musa-store",
                 if self.repair {
@@ -699,118 +479,62 @@ impl CampaignStore {
                     "corrupt rows skipped (lenient open; a repairing open would quarantine them)"
                 },
                 &[
-                    ("file", first.file.clone().into()),
-                    ("rows", quarantined.len().into()),
-                    ("first_line", first.line.into()),
-                    ("first_reason", first.reason.clone().into()),
+                    ("file", path.display().to_string().into()),
+                    ("rows", n.into()),
+                    ("first_line", first.no.into()),
+                    ("first_reason", reason.to_string().into()),
                 ],
             );
         }
-        // A file needing no repair: nothing torn, nothing corrupt, and
-        // (unless empty) newline-terminated. The last condition matters
-        // even when every row parsed: a crash can cut the write exactly
-        // between the final `}` and its newline, and a later append
-        // would concatenate onto that complete row and destroy it.
-        let clean = !torn_tail && quarantined.is_empty() && (ends_with_newline || text.is_empty());
-        if !self.repair || clean {
-            return Ok(());
+        if self.repair {
+            self.health.quarantine_rotated += musa_cache::repair(
+                path,
+                &scan,
+                OnCorrupt::Quarantine(&self.dir),
+                "store.rewrite",
+            )?;
         }
-
-        // Repair: corrupt rows move to the quarantine file first (so a
-        // crash between the two steps loses nothing), then the shard is
-        // atomically replaced by its surviving lines.
-        if !quarantined.is_empty() {
-            self.append_quarantine(&quarantined)?;
-        }
-        let mut repaired = String::with_capacity(text.len());
-        for line in kept {
-            repaired.push_str(line);
-            repaired.push('\n');
-        }
-        atomic_write(path, repaired.as_bytes(), "store.rewrite")
-    }
-
-    fn append_quarantine(&mut self, records: &[QuarantineRecord]) -> std::io::Result<()> {
-        // Dedupe against what is already quarantined — primary file and
-        // rotations alike: a row that keeps reappearing (same raw
-        // bytes, same reason — e.g. a corrupt shard recreated by a
-        // buggy sync job) must not grow the quarantine file without
-        // bound across repeated opens.
-        let path = self.dir.join(QUARANTINE_FILE);
-        let mut seen = existing_quarantine_fingerprints(&path);
-        for i in 1..=QUARANTINE_KEEP {
-            seen.extend(existing_quarantine_fingerprints(&quarantine_rotation_path(
-                &self.dir, i,
-            )));
-        }
-        let mut out = String::new();
-        let mut suppressed = 0u64;
-        for record in records {
-            if seen.contains(&quarantine_fingerprint(&record.raw, &record.reason)) {
-                suppressed += 1;
-                continue;
-            }
-            record.write_json(&mut out);
-            out.push('\n');
-        }
-        if suppressed > 0 {
-            musa_obs::counter_add("store.quarantine_suppressed", suppressed);
-            musa_obs::debug(
-                "musa-store",
-                "duplicate quarantine records suppressed",
-                &[("rows", suppressed.into())],
-            );
-        }
-        if out.is_empty() {
-            return Ok(());
-        }
-        // Rotate before the append would push the primary past the size
-        // cap; a non-empty primary is required so a single oversized
-        // batch still lands somewhere instead of rotating forever.
-        let current_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        if current_len > 0 && current_len + out.len() as u64 > quarantine_cap() {
-            self.rotate_quarantine()?;
-        }
-        let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        file.write_all(out.as_bytes())?;
-        file.sync_all()
-    }
-
-    /// Shift `quarantine.jsonl` → `quarantine.1.jsonl` → … and drop the
-    /// rotation past [`QUARANTINE_KEEP`], counting the lines moved out
-    /// of the primary in [`StoreHealth::quarantine_rotated`] (dropped
-    /// lines tick the `store.quarantine_dropped` counter) so `/healthz`
-    /// stays honest about evidence no longer in the primary file.
-    fn rotate_quarantine(&mut self) -> std::io::Result<()> {
-        let oldest = quarantine_rotation_path(&self.dir, QUARANTINE_KEEP);
-        if let Ok(text) = std::fs::read_to_string(&oldest) {
-            let dropped = text.lines().count() as u64;
-            std::fs::remove_file(&oldest)?;
-            musa_obs::counter_add("store.quarantine_dropped", dropped);
-            musa_obs::warn(
-                "musa-store",
-                "oldest quarantine rotation dropped",
-                &[("rows", dropped.into())],
-            );
-        }
-        for i in (1..QUARANTINE_KEEP).rev() {
-            let from = quarantine_rotation_path(&self.dir, i);
-            if from.exists() {
-                std::fs::rename(&from, quarantine_rotation_path(&self.dir, i + 1))?;
+        for line in scan.lines {
+            match line.class {
+                Ok(RowLine::Valid(mut row)) => {
+                    row.crc = None; // checksums live on disk, not in memory
+                    self.insert_mem(row);
+                }
+                // Forward compatibility: a row written by a *newer*
+                // musa-store (mixed-version shard directories, e.g. one
+                // worker upgraded mid-campaign) is healthy data this
+                // binary cannot interpret — skip it with its own
+                // message and counter so the operator sees an upgrade
+                // hint, not a corruption scare.
+                Ok(RowLine::Newer(schema)) => {
+                    self.health.rows_newer_schema += 1;
+                    musa_obs::counter_add("store.rows_newer_schema", 1);
+                    musa_obs::warn(
+                        "musa-store",
+                        "row written by a newer musa-store, skipped (upgrade this binary to read it)",
+                        &[
+                            ("file", path.display().to_string().into()),
+                            ("line", line.no.into()),
+                            ("row_schema", schema.into()),
+                            ("supported_schema", SCHEMA_VERSION.into()),
+                        ],
+                    );
+                }
+                Ok(RowLine::Stale(schema)) => {
+                    self.health.rows_stale_schema += 1;
+                    musa_obs::warn(
+                        "musa-store",
+                        "stale-schema row skipped",
+                        &[
+                            ("file", path.display().to_string().into()),
+                            ("line", line.no.into()),
+                            ("row_schema", schema.into()),
+                        ],
+                    );
+                }
+                Err(_) => {}
             }
         }
-        let primary = self.dir.join(QUARANTINE_FILE);
-        let rotated_lines = std::fs::read_to_string(&primary)
-            .map(|t| t.lines().count() as u64)
-            .unwrap_or(0);
-        std::fs::rename(&primary, quarantine_rotation_path(&self.dir, 1))?;
-        self.health.quarantine_rotated += rotated_lines;
-        musa_obs::counter_add("store.quarantine_rotations", 1);
-        musa_obs::info(
-            "musa-store",
-            "quarantine file rotated",
-            &[("rows", rotated_lines.into())],
-        );
         Ok(())
     }
 
@@ -884,13 +608,9 @@ impl CampaignStore {
         true
     }
 
-    fn writer(&mut self) -> std::io::Result<&mut BufWriter<File>> {
+    fn writer(&mut self) -> std::io::Result<&mut LineLog> {
         if self.writer.is_none() {
-            let file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&self.write_path)?;
-            self.writer = Some(BufWriter::new(file));
+            self.writer = Some(LineLog::open(&self.write_path)?);
         }
         Ok(self.writer.as_mut().expect("writer just created"))
     }
@@ -917,10 +637,7 @@ impl CampaignStore {
         if !self.insert_mem(row) {
             return Ok(false);
         }
-        let line = seal_line(&canonical);
-        let w = self.writer()?;
-        w.write_all(line.as_bytes())?;
-        w.write_all(b"\n")?;
+        self.writer()?.append(&musa_cache::seal(&canonical));
         Ok(true)
     }
 
@@ -1213,14 +930,9 @@ impl CampaignStore {
 
 impl Drop for CampaignStore {
     fn drop(&mut self) {
-        // Rows whose flush fails here were never reported durable:
-        // discard them rather than let the buffer's own drop write them
-        // behind the failure (a failed point must stay missing, so a
-        // resume re-simulates it).
-        if self.flush().is_err() {
-            if let Some(w) = self.writer.take() {
-                let _ = w.into_parts();
-            }
-        }
+        // Rows whose flush fails here were never reported durable; the
+        // dropped `LineLog` discards them (a failed point must stay
+        // missing, so a resume re-simulates it).
+        let _ = self.flush();
     }
 }

@@ -2,8 +2,9 @@
 //! rotates to `quarantine.1.jsonl` (keeping [`QUARANTINE_KEEP`]
 //! rotations) instead of growing without bound, rotated-away lines are
 //! counted in `StoreHealth::quarantine_rotated` so `/healthz` stays
-//! honest, rotations are never mistaken for row shards, and the
-//! duplicate-incident dedupe spans primary and rotations alike.
+//! honest, rotations are never mistaken for row shards, the
+//! duplicate-incident dedupe spans primary and rotations alike, and
+//! evidence the doctor writes obeys the same cap.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -12,7 +13,10 @@ use musa_apps::{AppId, GenParams};
 use musa_arch::{DesignSpace, NodeConfig};
 use musa_core::ConfigResult;
 use musa_power::PowerBreakdown;
-use musa_store::{is_quarantine_file, CampaignStore, StoreRow, QUARANTINE_FILE, QUARANTINE_KEEP};
+use musa_store::{
+    is_quarantine_file, quarantine_evidence, CampaignStore, QuarantineRecord, StoreRow,
+    QUARANTINE_FILE, QUARANTINE_KEEP,
+};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -140,6 +144,23 @@ fn rotation_caps_growth_counts_health_and_survives_reload() {
         "duplicate incident must not grow or rotate the quarantine"
     );
     assert!(read(&rotation(&dir, 1)).contains(&garbage(4)));
+
+    // The doctor's path into the same ledger (evidence from a journal
+    // line rather than a row) rotates under the same cap: the primary
+    // holds only the new record and the oldest rotation is dropped.
+    let doctor_record = QuarantineRecord {
+        file: "leases.journal".into(),
+        line: 1,
+        reason: "lease journal line failed to parse: doctor path".into(),
+        raw: garbage(6),
+    };
+    let rotated = quarantine_evidence(&dir, &[doctor_record]).unwrap();
+    assert_eq!(rotated, 1, "the old primary's one record rotated out");
+    assert_eq!(read(&dir.join(QUARANTINE_FILE)).lines().count(), 1);
+    assert!(read(&dir.join(QUARANTINE_FILE)).contains(&garbage(6)));
+    assert!(read(&rotation(&dir, 1)).contains(&garbage(5)));
+    assert!(read(&rotation(&dir, 3)).contains(&garbage(3)));
+    assert!(!rotation(&dir, QUARANTINE_KEEP + 1).exists());
 
     std::env::remove_var("MUSA_QUARANTINE_CAP");
     let _ = std::fs::remove_dir_all(&dir);
