@@ -28,6 +28,11 @@ impl CoresPerNode {
         }
     }
 
+    /// Position in [`Self::ALL`].
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Construct from a raw count if it is one of the explored values.
     pub fn from_count(n: u32) -> Option<Self> {
         match n {
@@ -154,6 +159,9 @@ mod tests {
         assert_eq!(counts, vec![1, 32, 64]);
         assert_eq!(CoresPerNode::from_count(32), Some(CoresPerNode::C32));
         assert_eq!(CoresPerNode::from_count(33), None);
+        for (i, c) in CoresPerNode::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i);
+        }
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //! Four variants of the same tiny-scale sweep (all five applications ×
 //! a design-space slice):
 //!
-//! - `uncached`: every trace, detailed window and burst baseline
+//! - `uncached`: every trace, detailed window and burst table
 //!   computed from scratch — the pre-cache behaviour;
 //! - `cold`: first pass through an empty artifact cache (pays the
 //!   detail-artifact writes on top of the compute);
 //! - `warm_disk`: a *fresh* [`ArtifactCache`] instance over the
 //!   populated directory — every detail lookup is a disk hit (traces
-//!   and burst baselines are recomputed: they never reach disk), the
+//!   and burst tables are recomputed: they never reach disk), the
 //!   cross-process reuse a `--resume` or a pool worker sees;
 //! - `warm_memo`: the same instance swept again — pure in-process
 //!   memo hits, the intra-run reuse path.

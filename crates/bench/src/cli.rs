@@ -43,7 +43,7 @@ usage: dse [options]
   --csv [PATH]       export the campaign as CSV (default dse_results.csv)
   --json [PATH]      export the campaign as JSON (default dse_results.json)
   --full             paper scale (256 ranks) instead of the reduced scale
-  --no-cache         compute every trace, detailed window and burst baseline
+  --no-cache         compute every trace, detailed window and burst table
                      instead of reusing cached artifacts (the cache is on by
                      default; rows are byte-identical either way)
   --progress         live fill heartbeat (points done/total, rows/s,

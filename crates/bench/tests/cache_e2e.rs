@@ -7,7 +7,7 @@
 //! run produces. **Resilience**: corruption is quarantined and
 //! recomputed, never served; a crash mid-artifact-write strands at
 //! worst temp litter that the next run ignores and `gc` reclaims. Only
-//! detail windows reach disk: traces and burst baselines live in each
+//! detail windows reach disk: traces and burst tables live in each
 //! process's memo.
 //!
 //! The kill-9 drill spawns and murders a real process and is gated

@@ -36,8 +36,9 @@ pub enum ArtifactKind {
     Trace,
     /// One detailed-simulation window ([`DetailArtifact`] JSON).
     Detail,
-    /// One burst-mode baseline makespan (in-process memo only; files
-    /// of this kind come from older schemas).
+    /// One trace's burst makespan table at one core count
+    /// ([`musa_net::BurstTable`]; in-process memo only, files of this
+    /// kind come from older schemas).
     Burst,
 }
 
@@ -141,14 +142,6 @@ musa_obs::json_struct!(DetailArtifact {
     stats,
     dram
 });
-
-/// One burst-mode baseline: the sampled region's makespan under the
-/// burst (analytical) simulator at a given core count.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct BurstArtifact {
-    /// Burst makespan of the sampled region (ns).
-    pub makespan_ns: f64,
-}
 
 /// Outcome of reading one artifact file.
 #[derive(Debug)]

@@ -5,9 +5,8 @@
 //! first (a mutexed map per artifact kind); detail windows then try
 //! disk (`<store-dir>/artifacts/`) before recomputing — the disk layer
 //! is what different processes (a `--resume`, a fleet of pool workers)
-//! share. Traces and burst baselines stay in the memo only: they are
-//! cheaper to recompute than to write durably and read back (see the
-//! crate docs). Every disk read is verified (schema, kind, key, length,
+//! share. Traces and burst tables stay in the memo only (see the crate
+//! docs for why). Every disk read is verified (schema, kind, key, length,
 //! CRC) before use; failures quarantine the file and fall through to
 //! recompute, so the cache can never change a result, only the time it
 //! takes.
@@ -28,12 +27,13 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
 use musa_apps::{generate, AppId, GenParams};
+use musa_net::BurstTable;
 use musa_obs::json::{from_slice, from_str, ToJson};
 use musa_trace::AppTrace;
 
 use crate::artifact::{
     artifact_file_name, quarantine, read_artifact, write_artifact, ArtifactKind, ArtifactRead,
-    BurstArtifact, DetailArtifact, CACHE_WRITE_FAILPOINT,
+    DetailArtifact, CACHE_WRITE_FAILPOINT,
 };
 use crate::fp::{trace_key, ArtifactKey};
 use crate::integrity::{open_repairing, scan, OnCorrupt};
@@ -69,9 +69,9 @@ pub struct SessionStats {
     pub detail_hits: u64,
     /// Detail-window lookups that had to simulate.
     pub detail_misses: u64,
-    /// Burst-baseline lookups served from memo or disk.
+    /// Burst-table lookups served from the memo.
     pub burst_hits: u64,
-    /// Burst-baseline lookups that had to simulate.
+    /// Burst-table lookups that had to schedule the trace.
     pub burst_misses: u64,
     /// Artifacts quarantined after failing verification.
     pub quarantined: u64,
@@ -194,7 +194,7 @@ pub struct ArtifactCache {
     dir: PathBuf,
     traces: Mutex<HashMap<ArtifactKey, Arc<AppTrace>>>,
     details: Mutex<HashMap<ArtifactKey, DetailArtifact>>,
-    bursts: Mutex<HashMap<ArtifactKey, BurstArtifact>>,
+    bursts: Mutex<HashMap<ArtifactKey, Arc<BurstTable>>>,
     counters: Arc<Counters>,
     /// Started by the first [`Self::put_detail`], joined by
     /// [`Self::flush`].
@@ -308,16 +308,16 @@ impl ArtifactCache {
         }
     }
 
-    /// Look up a burst baseline (memo only).
-    pub fn burst(&self, key: ArtifactKey) -> Option<BurstArtifact> {
+    /// Look up a trace's burst table at one core count (memo only).
+    pub fn burst(&self, key: ArtifactKey) -> Option<Arc<BurstTable>> {
         let b = self.memo_get(&self.bursts, key);
         self.tally(ArtifactKind::Burst, b.is_some());
         b
     }
 
-    /// Record a freshly computed burst baseline (memo only).
-    pub fn put_burst(&self, key: ArtifactKey, artifact: &BurstArtifact) {
-        self.memo_put(&self.bursts, key, *artifact);
+    /// Record a freshly built burst table (memo only).
+    pub fn put_burst(&self, key: ArtifactKey, table: Arc<BurstTable>) {
+        self.memo_put(&self.bursts, key, table);
     }
 
     /// Snapshot of this process's tallies (label left for the caller).
@@ -514,8 +514,9 @@ mod tests {
         assert!(Arc::ptr_eq(&t1, &t2), "second lookup must hit the memo");
         let bk = burst_key(k1, 32);
         assert!(cache.burst(bk).is_none());
-        cache.put_burst(bk, &BurstArtifact { makespan_ns: 9.0 });
-        assert_eq!(cache.burst(bk).unwrap().makespan_ns, 9.0);
+        let table = Arc::new(BurstTable::build(&t1, 32));
+        cache.put_burst(bk, Arc::clone(&table));
+        assert!(Arc::ptr_eq(&cache.burst(bk).unwrap(), &table));
         let s = cache.stats();
         assert_eq!((s.trace_hits, s.trace_misses), (1, 1));
         assert_eq!((s.burst_hits, s.burst_misses), (1, 1));
@@ -610,7 +611,8 @@ mod tests {
         let store = tmp_store("sessions");
         let cache = ArtifactCache::open(&store).unwrap();
         let t = trace_key(AppId::Hydro, &GenParams::tiny());
-        cache.put_burst(burst_key(t, 32), &BurstArtifact { makespan_ns: 1.0 });
+        let trace = generate(AppId::Hydro, &GenParams::tiny());
+        cache.put_burst(burst_key(t, 32), Arc::new(BurstTable::build(&trace, 32)));
         cache.burst(burst_key(t, 32));
         cache.persist_session("sequential");
         cache.persist_session("pool-worker");

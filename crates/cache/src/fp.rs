@@ -9,9 +9,9 @@
 //! * a **detailed-sim window** is determined by the trace plus the node
 //!   configuration — but *not* by whether the full-application replay
 //!   will run afterwards, so both replay modes share one artifact;
-//! * a **burst baseline** is determined by the trace's sampled region
-//!   and the core count alone — 288 of the 864 design-space points
-//!   share each one.
+//! * a **burst table** (every compute region's burst makespan) is
+//!   determined by the trace and the core count alone — 288 of the 864
+//!   design-space points share each one.
 //!
 //! Every builder destructures its input structs **exhaustively**:
 //! adding a field to [`GenParams`] or [`NodeConfig`] breaks the
@@ -108,9 +108,9 @@ pub fn detail_key(trace: ArtifactKey, config: &NodeConfig) -> ArtifactKey {
     ArtifactKey(fnv1a_64(canonical.as_bytes()))
 }
 
-/// Key of the burst-mode baseline makespan of the trace's sampled
-/// region at `cores` — the only two inputs `simulate_region_burst`
-/// reads (the region is a deterministic function of the trace).
+/// Key of the trace's burst table at `cores` — the only two inputs the
+/// burst scheduler reads (every region is a deterministic function of
+/// the trace).
 pub fn burst_key(trace: ArtifactKey, cores: u32) -> ArtifactKey {
     let canonical = format!("musa-cache:v{CACHE_SCHEMA_VERSION}|burst|trace={trace}|cores={cores}");
     ArtifactKey(fnv1a_64(canonical.as_bytes()))

@@ -2,7 +2,7 @@
 //!
 //! Content-addressed cache for the pipeline's expensive intermediate
 //! artifacts: generated application traces, detailed tasksim windows,
-//! and burst-mode baselines. Computed once, reused everywhere — across
+//! and burst tables (every compute region's burst makespan). Computed once, reused everywhere — across
 //! the points of one sweep and, for detail windows, across `--resume`
 //! and across the processes of a `--workers N` pool sharing one store
 //! directory.
@@ -12,9 +12,8 @@
 //! The design space is enormously redundant: one trace feeds every
 //! configuration of an application; the detailed window depends on the
 //! trace and the node configuration but *not* on the replay mode; the
-//! burst baseline depends only on the trace's sampled region and the
-//! core count (so at paper scale 288 of the 864 configurations share
-//! each one). The cache keys ([`trace_key`], [`detail_key`],
+//! burst table depends only on the trace and the core count (so at
+//! paper scale 288 of the 864 configurations share each one). The cache keys ([`trace_key`], [`detail_key`],
 //! [`burst_key`]) fingerprint exactly those determining inputs — built
 //! by exhaustive struct destructuring, so *adding a field to
 //! [`musa_apps::GenParams`] or [`musa_arch::NodeConfig`] is a compile
@@ -23,11 +22,13 @@
 //! ## What reaches disk
 //!
 //! Only detail windows: one costs about 1.3 ms to simulate, more than
-//! its durable write. Traces and burst baselines stay in the
-//! in-process memo. Regenerating all five paper-scale traces takes
-//! 48–63 ms, while their ~100 MB of text costs 88–163 ms to write with
-//! fsync and ~400 ms just to read back and CRC-check; a burst baseline
-//! costs ~5 µs to compute against ~0.5 ms per fsync'd write. The
+//! its durable write. Traces and burst tables stay in the in-process
+//! memo. Regenerating all five paper-scale traces takes 48–63 ms,
+//! while their ~100 MB of text costs 88–163 ms to write with fsync and
+//! ~400 ms just to read back and CRC-check. A burst table takes
+//! 0.8–31 ms to build against 0.4–1.3 ms for an fsync'd write, but a
+//! process builds each one at most once (≈120 ms for all fifteen
+//! paper-scale tables), too little to earn an on-disk format. The
 //! [`ArtifactKind::Trace`] and [`ArtifactKind::Burst`] names stay so
 //! `dse cache` tooling still recognises (and `gc` reclaims, as stale)
 //! files older schemas wrote.
@@ -65,8 +66,7 @@ pub use admin::{
 };
 pub use artifact::{
     artifact_file_name, parse_file_name, quarantine, read_artifact, verify_bytes, write_artifact,
-    ArtifactHeader, ArtifactKind, ArtifactRead, BurstArtifact, DetailArtifact,
-    CACHE_WRITE_FAILPOINT,
+    ArtifactHeader, ArtifactKind, ArtifactRead, DetailArtifact, CACHE_WRITE_FAILPOINT,
 };
 pub use cache::{
     enabled_from_env, human_bytes, load_sessions, ArtifactCache, SessionStats, ARTIFACT_DIR,

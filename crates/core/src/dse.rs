@@ -390,7 +390,7 @@ pub fn sweep_app(app: AppId, configs: &[NodeConfig], opts: &SweepOptions) -> Vec
 
 /// [`sweep_app`] with an optional artifact cache: the trace is loaded
 /// from (or generated into) the cache, and every point's detailed
-/// window and burst baseline go through it too. `None` degrades to the
+/// window and burst table go through it too. `None` degrades to the
 /// plain compute-everything sweep — rows are byte-identical either way.
 pub fn sweep_app_cached(
     app: AppId,
@@ -579,6 +579,76 @@ mod tests {
         assert!(campaign
             .pareto_front(AppId::Spmz, RowMetric::TimeNs, RowMetric::EnergyJ)
             .is_empty());
+    }
+
+    /// A fresh artifact cache in a temp store directory.
+    fn tmp_cache(
+        tag: &str,
+    ) -> (
+        std::sync::Arc<musa_cache::ArtifactCache>,
+        std::path::PathBuf,
+    ) {
+        let dir = std::env::temp_dir().join(format!("musa-core-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (musa_cache::ArtifactCache::open(&dir).unwrap(), dir)
+    }
+
+    /// `small_configs` at every explored core count.
+    fn configs_at_every_core_count() -> Vec<NodeConfig> {
+        CoresPerNode::ALL
+            .into_iter()
+            .flat_map(|c| {
+                small_configs()
+                    .into_iter()
+                    .map(move |cfg| cfg.with_cores(c))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn region_only_sweep_touches_no_burst_table() {
+        let (cache, dir) = tmp_cache("region-only");
+        let opts = SweepOptions {
+            gen: GenParams::tiny(),
+            full_replay: false,
+        };
+        let configs = configs_at_every_core_count();
+        let rows = sweep_app_cached(AppId::Lulesh, &configs, &opts, Some(&cache));
+        assert_eq!(rows.len(), configs.len());
+        let s = cache.stats();
+        assert_eq!(s.burst_hits + s.burst_misses, 0);
+        assert_eq!(s.detail_misses, configs.len() as u64);
+        drop(cache);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn parallel_sweep_matches_sequential_and_builds_one_table_per_core_count() {
+        let opts = SweepOptions {
+            gen: GenParams::tiny(),
+            full_replay: true,
+        };
+        let configs = configs_at_every_core_count();
+        for app in AppId::ALL {
+            let (cache, dir) = tmp_cache(&format!("par-{app}"));
+            let rows = sweep_app_cached(app, &configs, &opts, Some(&cache));
+            let trace = generate(app, &opts.gen);
+            let sim = MultiscaleSim::new(&trace);
+            for (row, &cfg) in rows.iter().zip(&configs) {
+                // `Debug` prints every f64 round-trip exact.
+                let want = sim.simulate(cfg, true);
+                assert_eq!(
+                    format!("{row:?}"),
+                    format!("{want:?}"),
+                    "{app} {}",
+                    cfg.label()
+                );
+            }
+            let s = cache.stats();
+            assert_eq!((s.burst_hits, s.burst_misses), (0, 3), "{app}");
+            drop(cache);
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

@@ -6,18 +6,18 @@
 //! 2. extrapolation: the detailed/burst time ratio of the sampled region
 //!    rescales every rank's burst-mode compute phases;
 //! 3. full-application replay of all compute + MPI events over the
-//!    network model (`musa-net`);
+//!    network model (`musa-net`), against the trace's burst table at
+//!    the configuration's core count;
 //! 4. power estimation of the node during the region (`musa-power` +
 //!    `musa-mem`) and energy-to-solution over the whole run.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
-use musa_arch::NodeConfig;
-use musa_cache::{ArtifactCache, ArtifactKey, BurstArtifact, DetailArtifact};
-use musa_net::{replay, FixedRatioTimer, NetworkParams, ReplayResult};
+use musa_arch::{CoresPerNode, NodeConfig};
+use musa_cache::{ArtifactCache, ArtifactKey, DetailArtifact};
+use musa_net::{replay, replay_scaled, BurstTable, NetworkParams, ReplayResult};
 use musa_power::{PowerBreakdown, PowerModel};
-use musa_tasksim::{simulate_region_burst, NodeSim};
+use musa_tasksim::NodeSim;
 use musa_trace::{AppTrace, ComputeRegion, DetailedTrace};
 
 /// Scalar summary of one multiscale simulation, the unit of the DSE
@@ -73,11 +73,14 @@ musa_obs::json_struct!(ConfigResult {
 pub struct MultiscaleSim<'a> {
     trace: &'a AppTrace,
     net: NetworkParams,
-    /// In-process burst-baseline memo. The baseline depends only on the
-    /// sampled region (fixed per trace) and the active core count, so
-    /// the paper-scale 864-point sweep needs just one per core count —
-    /// this memo pays off even with the artifact cache disabled.
-    burst_memo: Mutex<HashMap<u32, f64>>,
+    /// The trace's burst table per core count, at
+    /// [`CoresPerNode::index`]. A region's burst makespan depends only on
+    /// the region and the core count, so the paper-scale 864-point
+    /// sweep schedules the trace just once per core count. Each table
+    /// is built on the first full-replay point at its core count; one
+    /// lock per slot lets the sweep's threads build different core
+    /// counts at once.
+    tables: [OnceLock<Arc<BurstTable>>; CoresPerNode::ALL.len()],
     /// Artifact cache plus this trace's key (which seeds every detail
     /// and burst key), when the caller attached one.
     cache: Option<(Arc<ArtifactCache>, ArtifactKey)>,
@@ -89,7 +92,7 @@ impl<'a> MultiscaleSim<'a> {
         MultiscaleSim {
             trace,
             net: NetworkParams::marenostrum4(),
-            burst_memo: Mutex::new(HashMap::new()),
+            tables: Default::default(),
             cache: None,
         }
     }
@@ -102,8 +105,8 @@ impl<'a> MultiscaleSim<'a> {
 
     /// Attach an artifact cache. `trace_key` must be the key under
     /// which `trace` itself is cached ([`musa_cache::trace_key`]);
-    /// detailed windows and burst baselines are then looked up before
-    /// being computed, and persisted after.
+    /// detailed windows and burst tables are then looked up before
+    /// being computed, and recorded after.
     pub fn with_cache(mut self, cache: Arc<ArtifactCache>, trace_key: ArtifactKey) -> Self {
         self.cache = Some((cache, trace_key));
         self
@@ -111,9 +114,8 @@ impl<'a> MultiscaleSim<'a> {
 
     /// Run the multiscale flow for one node configuration.
     ///
-    /// `burst_sampled_ns`, if provided, is the cached burst-mode makespan
-    /// of the sampled region at `config.cores` (computed otherwise).
-    /// `full_replay`, if false, skips step 3 (region-only studies).
+    /// `full_replay`, if false, skips steps 2 and 3 (region-only
+    /// studies): the row's time is the region's detailed makespan.
     pub fn simulate(&self, config: NodeConfig, full_replay: bool) -> ConfigResult {
         // `sim.point` failpoint: keyed by (app, config label) so chaos
         // runs poison the same points regardless of thread order.
@@ -126,8 +128,7 @@ impl<'a> MultiscaleSim<'a> {
         let region = self
             .trace
             .sampled_region()
-            .expect("trace has a sampled region")
-            .clone();
+            .expect("trace has a sampled region");
         let detail = self
             .trace
             .detail
@@ -139,32 +140,33 @@ impl<'a> MultiscaleSim<'a> {
         // part of producing the rescale ratio, not a separate stage.
         // Both consult the artifact cache first when one is attached; a
         // hit makes the phase near-instant.
-        let _detailed = musa_obs::span_app(musa_obs::phase::DETAILED_SIM, &self.trace.meta.app);
-        let det = self.detail_window(config, detail, &region);
+        let detailed = musa_obs::span_app(musa_obs::phase::DETAILED_SIM, &self.trace.meta.app);
+        let det = self.detail_window(config, detail, region);
         let region_ns = det.region_ns;
 
-        // Step 2: detailed/burst rescale ratio.
-        let burst_ns = {
-            let _burst = musa_obs::span_app(musa_obs::phase::BURST, &self.trace.meta.app);
-            self.burst_baseline(&region, config.cores.count())
-        };
-        let ratio = if burst_ns > 0.0 {
-            region_ns / burst_ns
-        } else {
-            1.0
-        };
-        drop(_detailed);
+        // Step 2: detailed/burst rescale ratio; the sampled region's
+        // burst baseline is its entry in the burst table.
+        let scaled = full_replay.then(|| {
+            let table = {
+                let _burst = musa_obs::span_app(musa_obs::phase::BURST, &self.trace.meta.app);
+                self.burst_table(config.cores)
+            };
+            let burst_ns = table
+                .sampled_ns(self.trace)
+                .expect("trace has a sampled region");
+            let ratio = if burst_ns > 0.0 {
+                region_ns / burst_ns
+            } else {
+                1.0
+            };
+            (table, ratio)
+        });
+        drop(detailed);
 
         // Step 3: full-application replay.
-        let (time_ns, _replay) = if full_replay {
-            let mut timer = FixedRatioTimer {
-                cores: config.cores.count(),
-                ratio,
-            };
-            let r = replay(self.trace, &self.net, &mut timer);
-            (r.total_ns, Some(r))
-        } else {
-            (region_ns, None)
+        let time_ns = match scaled {
+            Some((table, ratio)) => replay_scaled(self.trace, &self.net, table, ratio).total_ns,
+            None => region_ns,
         };
 
         // Step 4: power and energy.
@@ -238,40 +240,24 @@ impl<'a> MultiscaleSim<'a> {
         art
     }
 
-    /// The burst-mode baseline makespan at `cores`: in-process memo,
-    /// then artifact cache, then computed (and recorded in both).
-    fn burst_baseline(&self, region: &ComputeRegion, cores: u32) -> f64 {
-        if let Some(ns) = self
-            .burst_memo
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&cores)
-        {
-            return *ns;
-        }
-        let ns = match &self.cache {
-            Some((cache, tk)) => {
-                let key = musa_cache::burst_key(*tk, cores);
-                match cache.burst(key) {
-                    Some(b) => {
-                        musa_prof::cache_note(true);
-                        b.makespan_ns
-                    }
-                    None => {
-                        musa_prof::cache_note(false);
-                        let ns = simulate_region_burst(region, cores).makespan_ns;
-                        cache.put_burst(key, &BurstArtifact { makespan_ns: ns });
-                        ns
-                    }
-                }
+    /// The trace's burst table at `cores`: this simulator's slot, else
+    /// the artifact cache, else built (and recorded in both).
+    fn burst_table(&self, cores: CoresPerNode) -> &BurstTable {
+        self.tables[cores.index()].get_or_init(|| {
+            let n = cores.count();
+            let Some((cache, tk)) = &self.cache else {
+                return Arc::new(BurstTable::build(self.trace, n));
+            };
+            let key = musa_cache::burst_key(*tk, n);
+            if let Some(table) = cache.burst(key) {
+                musa_prof::cache_note(true);
+                return table;
             }
-            None => simulate_region_burst(region, cores).makespan_ns,
-        };
-        self.burst_memo
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(cores, ns);
-        ns
+            musa_prof::cache_note(false);
+            let table = Arc::new(BurstTable::build(self.trace, n));
+            cache.put_burst(key, Arc::clone(&table));
+            table
+        })
     }
 
     /// Full replay of the trace in burst mode at a core count (used by

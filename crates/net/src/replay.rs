@@ -1,9 +1,9 @@
 //! Lockstep replay of the per-rank burst traces over the network model.
 
-use musa_trace::{AppTrace, BurstEvent, CollectiveOp, MpiEvent};
+use musa_trace::{AppTrace, BurstEvent, CollectiveOp, ComputeRegion, MpiEvent};
 
 use crate::params::NetworkParams;
-use crate::timer::ComputeTimer;
+use crate::timer::{BurstTable, ComputeTimer};
 
 /// What a rank was doing during a span (for timelines and accounting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +53,8 @@ pub struct ReplayResult {
     pub compute_ns: Vec<f64>,
     /// Per-rank MPI decomposition.
     pub mpi: Vec<MpiBreakdown>,
-    /// Per-rank phase timelines (Fig. 4 source data).
+    /// Per-rank phase timelines (Fig. 4 source data); empty from
+    /// [`replay_scaled`], which records none.
     pub timelines: Vec<Vec<Span>>,
 }
 
@@ -91,12 +92,38 @@ impl ReplayResult {
     }
 }
 
-/// Replay an application trace.
+/// Replay an application trace, recording every rank's timeline.
 ///
 /// The trace must be SPMD-shaped: every rank has the same number of
 /// events with matching kinds per slot (the `musa-apps` generators
 /// guarantee this). Panics otherwise.
 pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTimer) -> ReplayResult {
+    lockstep::<true>(trace, net, |_, _, rank, region| {
+        timer.region_time_ns(rank, region)
+    })
+}
+
+/// Replay with every compute region timed as its [`BurstTable`] entry
+/// times `ratio` — [`crate::FixedRatioTimer`]'s arithmetic without
+/// rescheduling a single region. Records no timelines (`timelines` is
+/// empty): the design-space sweep keeps only the totals.
+pub fn replay_scaled(
+    trace: &AppTrace,
+    net: &NetworkParams,
+    table: &BurstTable,
+    ratio: f64,
+) -> ReplayResult {
+    lockstep::<false>(trace, net, |r, k, _, _| table.makespan_ns(r, k) * ratio)
+}
+
+/// The lockstep loop behind both replays. `time(r, k, rank, region)`
+/// gives the duration of the `k`-th compute region of `trace.ranks[r]`;
+/// timelines are recorded only when `RECORD` is set.
+fn lockstep<const RECORD: bool>(
+    trace: &AppTrace,
+    net: &NetworkParams,
+    mut time: impl FnMut(usize, usize, u32, &ComputeRegion) -> f64,
+) -> ReplayResult {
     let _replay = musa_obs::span_app(musa_obs::phase::NET_REPLAY, &trace.meta.app);
     let ranks = trace.ranks.len();
     assert!(ranks > 0, "empty trace");
@@ -116,10 +143,16 @@ pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTime
     let mut clock = vec![0.0_f64; ranks];
     let mut compute = vec![0.0_f64; ranks];
     let mut mpi = vec![MpiBreakdown::default(); ranks];
-    let mut timelines: Vec<Vec<Span>> = vec![Vec::with_capacity(n_events * 2); ranks];
+    let mut timelines: Vec<Vec<Span>> = if RECORD {
+        vec![Vec::with_capacity(n_events * 2); ranks]
+    } else {
+        Vec::new()
+    };
+    // Compute slots seen so far: every rank's compute ordinal.
+    let mut k = 0;
 
     let push_span = |timelines: &mut Vec<Vec<Span>>, r: usize, phase, start: f64, end: f64| {
-        if end > start {
+        if RECORD && end > start {
             timelines[r].push(Span {
                 phase,
                 start_ns: start,
@@ -136,7 +169,7 @@ pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTime
                     let BurstEvent::Compute(region) = &rt.events[slot] else {
                         panic!("non-SPMD trace at slot {slot}");
                     };
-                    let t = timer.region_time_ns(rt.rank, region);
+                    let t = time(r, k, rt.rank, region);
                     push_span(
                         &mut timelines,
                         r,
@@ -147,6 +180,7 @@ pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTime
                     clock[r] += t;
                     compute[r] += t;
                 }
+                k += 1;
             }
             BurstEvent::Mpi(MpiEvent::Collective(op)) => {
                 let assemble = clock.iter().copied().fold(0.0_f64, f64::max);
@@ -235,11 +269,68 @@ pub fn replay(trace: &AppTrace, net: &NetworkParams, timer: &mut dyn ComputeTime
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timer::BurstTimer;
+    use crate::timer::{BurstTimer, FixedRatioTimer};
     use musa_apps::{generate, AppId, GenParams};
+    use musa_arch::CoresPerNode;
 
     fn net() -> NetworkParams {
         NetworkParams::marenostrum4()
+    }
+
+    /// Every number a replay reports, as bits.
+    fn bits(res: &ReplayResult) -> (u64, Vec<u64>, Vec<(u64, u64)>) {
+        (
+            res.total_ns.to_bits(),
+            res.compute_ns.iter().map(|c| c.to_bits()).collect(),
+            res.mpi
+                .iter()
+                .map(|m| (m.wait_ns.to_bits(), m.transfer_ns.to_bits()))
+                .collect(),
+        )
+    }
+
+    /// The table replay against `FixedRatioTimer`, for every app at
+    /// `gen`, every explored core count and a spread of ratios.
+    fn assert_table_replay_matches_fixed_ratio(gen: &GenParams) {
+        for app in AppId::ALL {
+            let trace = generate(app, gen);
+            for cores in CoresPerNode::ALL.map(CoresPerNode::count) {
+                let table = BurstTable::build(&trace, cores);
+                for ratio in [1.0, 0.73, 1.9] {
+                    let want = replay(&trace, &net(), &mut FixedRatioTimer { cores, ratio });
+                    let got = replay_scaled(&trace, &net(), &table, ratio);
+                    assert_eq!(bits(&got), bits(&want), "{app} cores={cores} ratio={ratio}");
+                    assert!(got.timelines.is_empty());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_replay_is_bit_identical_to_fixed_ratio_timer() {
+        assert_table_replay_matches_fixed_ratio(&GenParams::tiny());
+    }
+
+    /// Paper scale: run in release by `scripts/check.sh`.
+    #[test]
+    #[ignore = "paper scale; run with --release -- --ignored"]
+    fn table_replay_is_bit_identical_to_fixed_ratio_timer_at_paper_scale() {
+        assert_table_replay_matches_fixed_ratio(&GenParams::paper());
+    }
+
+    #[test]
+    fn non_recording_replay_matches_recording() {
+        for app in AppId::ALL {
+            let trace = generate(app, &GenParams::tiny());
+            let mut timer = BurstTimer { cores: 32 };
+            let recorded = replay(&trace, &net(), &mut timer);
+            let bare = lockstep::<false>(&trace, &net(), |_, _, rank, region| {
+                timer.region_time_ns(rank, region)
+            });
+            assert_eq!(bits(&bare), bits(&recorded), "{app}");
+            assert!(bare.timelines.is_empty());
+            assert!(recorded.timelines.iter().all(|tl| !tl.is_empty()));
+        }
     }
 
     #[test]

@@ -29,11 +29,13 @@ pub mod phase {
     /// Synthetic two-level trace generation (`musa-apps`).
     pub const TRACE_GEN: &str = "trace-gen";
     /// Detailed µarch simulation of the sampled region (`musa-tasksim`),
-    /// including the burst-rescale reference run.
+    /// including the burst-rescale reference ([`BURST`]).
     pub const DETAILED_SIM: &str = "detailed-sim";
-    /// Burst-mode baseline makespan of the sampled region (the
-    /// denominator of the detailed/burst rescale ratio); nests inside
-    /// [`DETAILED_SIM`].
+    /// Getting the trace's burst table at the point's core count —
+    /// building it schedules every compute region in burst mode (the
+    /// sampled region's entry is the denominator of the detailed/burst
+    /// rescale ratio); nests inside [`DETAILED_SIM`]. Full-replay
+    /// points only.
     pub const BURST: &str = "burst";
     /// DRAM command-stream estimation (`musa-mem` accounting).
     pub const DRAM: &str = "dram";

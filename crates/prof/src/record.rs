@@ -68,7 +68,7 @@ pub struct PointProfile {
     /// per point; sequential fills retry per batch and report 0 here).
     pub retries: u32,
     /// Artifact-cache hits observed during this point (detailed
-    /// windows + burst baselines).
+    /// windows + burst tables).
     pub cache_hits: u32,
     /// Artifact-cache misses observed during this point.
     pub cache_misses: u32,

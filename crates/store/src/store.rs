@@ -309,7 +309,7 @@ pub struct CampaignStore {
     /// path so concurrent writers back off on different schedules.
     backoff_salt: u64,
     /// Artifact cache consulted by [`Self::fill`] for traces, detailed
-    /// windows and burst baselines. `None` (the default) computes
+    /// windows and burst tables. `None` (the default) computes
     /// everything; attach with [`Self::set_artifact_cache`].
     artifact_cache: Option<Arc<ArtifactCache>>,
 }
@@ -371,7 +371,7 @@ impl CampaignStore {
     }
 
     /// Attach an artifact cache: subsequent [`Self::fill`] calls load
-    /// traces, detailed windows and burst baselines through it instead
+    /// traces, detailed windows and burst tables through it instead
     /// of recomputing them. Rows stay byte-identical either way; only
     /// the time to produce them changes.
     pub fn set_artifact_cache(&mut self, cache: Arc<ArtifactCache>) {

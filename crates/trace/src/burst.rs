@@ -250,21 +250,25 @@ pub struct AppTrace {
 }
 
 impl AppTrace {
-    /// The region of `rank` with id `region_id`, if present.
-    pub fn region(&self, rank: u32, region_id: u32) -> Option<&ComputeRegion> {
-        self.ranks
-            .iter()
-            .find(|r| r.rank == rank)?
-            .regions()
-            .find(|r| r.region_id == region_id)
-    }
-
     /// The representative compute region named by the sampling metadata
     /// (falls back to the first region of rank 0).
     pub fn sampled_region(&self) -> Option<&ComputeRegion> {
+        let (rank, k) = self.sampled_slot()?;
+        self.ranks[rank].regions().nth(k)
+    }
+
+    /// Where [`Self::sampled_region`] sits: the index of its rank in
+    /// `ranks` and its position among that rank's compute regions.
+    pub fn sampled_slot(&self) -> Option<(usize, usize)> {
         match self.meta.sampling {
-            Some(s) => self.region(s.rank, s.region_id),
-            None => self.ranks.first()?.regions().next(),
+            Some(s) => {
+                let rank = self.ranks.iter().position(|r| r.rank == s.rank)?;
+                let k = self.ranks[rank]
+                    .regions()
+                    .position(|r| r.region_id == s.region_id)?;
+                Some((rank, k))
+            }
+            None => self.ranks.first()?.regions().next().map(|_| (0, 0)),
         }
     }
 
@@ -417,5 +421,6 @@ mod tests {
             detail: None,
         };
         assert_eq!(trace.sampled_region().unwrap().region_id, 0);
+        assert_eq!(trace.sampled_slot(), Some((0, 0)));
     }
 }

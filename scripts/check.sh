@@ -31,6 +31,11 @@ trap 'rm -rf "$empty_home"' EXIT
 CARGO_HOME="$empty_home" cargo build --release
 CARGO_HOME="$empty_home" cargo test -q
 
+echo "== paper-scale burst-table oracle (release, ignored in tier-1) =="
+# The burst-table replay must equal the per-region FixedRatioTimer
+# replay bit for bit on every paper-scale app and core count.
+cargo test -q --release -p musa-net -- --ignored
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
